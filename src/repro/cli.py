@@ -35,15 +35,15 @@ def _add_engine_options(parser: argparse.ArgumentParser, *,
                         pool_only: bool = False) -> None:
     """The option group every evolution-running subcommand shares.
 
-    ``pool_only`` keeps just the worker-pool knobs — for subcommands
+    ``pool_only`` keeps just the span-worker knobs — for subcommands
     (``serve``) where the per-job search config arrives from elsewhere
     and only the shared evaluation machinery is configured locally.
     """
     group = parser.add_argument_group("engine options")
     group.add_argument("--workers", type=int, default=0,
-                       help="offspring-evaluation processes (0/1 inline; "
-                            "N>1 uses a persistent pool, bit-identical "
-                            "results for a fixed seed)")
+                       help="0/1 runs generations inline; N>1 off-loads "
+                            "generation spans to a worker process "
+                            "(bit-identical results for a fixed seed)")
     if not pool_only:
         group.add_argument("--kernel", choices=("flat", "object"),
                            default="flat",
@@ -54,11 +54,11 @@ def _add_engine_options(parser: argparse.ArgumentParser, *,
         group.add_argument("--telemetry", metavar="PATH", default=None,
                            help=telemetry_help)
     group.add_argument("--batch-timeout", type=float, default=None,
-                       help="seconds before a pool offspring batch is "
+                       help="seconds before a span on a worker is "
                             "declared hung and re-dispatched to a fresh "
-                            "pool (default: wait forever)")
+                            "worker (default: wait forever)")
     group.add_argument("--batch-retries", type=int, default=2,
-                       help="re-dispatches of a lost/hung batch before "
+                       help="re-dispatches of a lost/hung span before "
                             "the run degrades to inline evaluation "
                             "(default 2)")
 
@@ -124,8 +124,8 @@ def _print_result(result, verbose: bool) -> None:
         print("interrupted   : run stopped early (SIGINT); result is the "
               "best so far")
     if result.evolution.worker_restarts or result.evolution.degraded_to_inline:
-        print(f"worker faults : {result.evolution.worker_restarts} pool "
-              f"restarts, {result.evolution.batches_retried} batches "
+        print(f"worker faults : {result.evolution.worker_restarts} worker "
+              f"restarts, {result.evolution.batches_retried} spans "
               f"retried"
               + (", degraded to inline evaluation"
                  if result.evolution.degraded_to_inline else ""))
@@ -240,7 +240,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     Submissions arrive as truth-table specs + full configs over
     ``POST /v1/jobs`` (see ``docs/service.md``); the server shares one
-    worker pool and one job store across all of them, and SIGTERM
+    span worker and one job store across all of them, and SIGTERM
     drains gracefully — the slice in flight finishes and checkpoints,
     so a restarted ``rcgp serve`` over the same ``--store`` resumes
     every unfinished job bit-identically.
@@ -266,7 +266,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
     Dials ``--connect host:port`` (the coordinator's ``--cluster-port``
     listener), authenticates with the shared ``--token`` and then
-    answers the same batch/span frames a local pipe worker answers.
+    answers the same span frames a local pipe worker answers.
     Reconnects with exponential backoff when the coordinator goes away;
     exits non-zero only on auth/version rejection or a bad endpoint.
     """

@@ -6,15 +6,17 @@ two codecs over one frame protocol: the same opcodes, the same
 ``rcgp worker`` process dials the coordinator's
 :class:`~repro.cluster.fleet.ClusterFleet`, handshakes (protocol
 version, shared token, cpu slots) and then serves exactly the frames a
-local pipe worker serves; the
-:class:`~repro.cluster.backend.ClusterBackend` dispatches every batch
-or replay span to a dynamic mix of local and remote workers with the
-engine's standard fault recovery, so results stay bit-identical to the
+local pipe worker serves.  The fleet contributes its idle workers as
+channels to the engine's one :class:`~repro.core.engine.ClusterDispatch`
+(re-exported here with its per-slice
+:class:`~repro.core.engine.ClusterBackend`), which ships every span to
+a remote worker when one is idle, else to the local pipe worker, with
+the standard fault recovery — so results stay bit-identical to the
 serial loop whatever the fleet does.
 """
 
-from .backend import ClusterBackend, ClusterDispatch
-from .fleet import ClusterFleet, RemoteWorker
+from ..core.engine import ClusterBackend, ClusterDispatch
+from .fleet import ClusterFleet, RemoteChannel, RemoteWorker
 from .protocol import PROTOCOL_VERSION, SocketChannel
 from .worker import run_worker
 
@@ -23,6 +25,7 @@ __all__ = [
     "ClusterDispatch",
     "ClusterFleet",
     "PROTOCOL_VERSION",
+    "RemoteChannel",
     "RemoteWorker",
     "SocketChannel",
     "run_worker",

@@ -6,18 +6,18 @@ The :class:`ClusterFleet` owns the listening socket workers dial into
 cpu slots), and keeps one :class:`RemoteWorker` per live connection.
 
 Ownership protocol: anything that wants to *use* a worker's channel —
-the :class:`~repro.cluster.backend.ClusterDispatch` shipping frames,
-the heartbeat thread probing idle connections — must hold that
-worker's lock.  :meth:`lease` hands out currently-idle live workers
-and :meth:`release` returns them, so a worker mid-batch is never
-pinged and two batches never interleave frames on one socket.  A
-worker that fails while leased is :meth:`drop`-ped by the lease holder
-(socket closed, registry slot freed); the worker process notices the
-dead connection and dials back in, which counts into
+the :class:`~repro.core.engine.ClusterDispatch` shipping a span, the
+heartbeat thread probing idle connections — must hold that worker's
+lock.  :meth:`ClusterFleet.lease_channel` hands out one idle live
+worker as a :class:`RemoteChannel` whose ``release`` returns it, so a
+worker mid-span is never pinged and two spans never interleave frames
+on one socket.  A worker that fails while leased is released as failed
+— dropped (socket closed, registry slot freed); the worker process
+notices the dead connection and dials back in, which counts into
 ``reconnects_total``.
 
 The fleet never *initiates* work; it is pure membership + liveness.
-Scheduling lives in :mod:`repro.cluster.backend`.
+Scheduling lives in :class:`~repro.core.engine.ClusterDispatch`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
+from ..core import transport
 from . import protocol
 from .protocol import PROTOCOL_VERSION, SocketChannel
 
@@ -77,6 +78,45 @@ class RemoteWorker:
             "bytes_shipped": self.bytes_shipped,
             "busy": self.lock.locked(),
         }
+
+
+class RemoteChannel:
+    """One leased fleet worker as a dispatch channel.
+
+    The worker's lock is held from :meth:`ClusterFleet.lease_channel`
+    until :meth:`release`.
+    """
+
+    __slots__ = ("_fleet", "worker")
+    remote = True
+
+    def __init__(self, fleet: "ClusterFleet", worker: RemoteWorker):
+        self._fleet = fleet
+        self.worker = worker
+
+    @property
+    def name(self) -> str:
+        return self.worker.name
+
+    def send(self, frame: bytes) -> None:
+        self.worker.channel.send(frame)
+        self.worker.frames += 1
+        self.worker.bytes_shipped += len(frame)
+
+    def recv(self, deadline: Optional[float]) -> bytes:
+        return transport.unwrap_reply(self.worker.channel.recv(deadline))
+
+    def ready(self) -> bool:
+        return self.worker.channel.ready()
+
+    def release(self, *, failed: bool) -> None:
+        """Return the worker; a failed one is dropped (it reconnects on
+        its own), a successful release counts one span it served."""
+        if failed:
+            self._fleet.drop(self.worker)
+        else:
+            self._fleet.record_span(self.worker)
+        self.worker.lock.release()
 
 
 class ClusterFleet:
@@ -161,27 +201,19 @@ class ClusterFleet:
     def workers_view(self) -> List[Dict[str, Any]]:
         return [worker.view() for worker in self.live()]
 
-    def lease(self, limit: Optional[int] = None) -> List[RemoteWorker]:
-        """Check out currently-idle live workers (their locks held).
+    def lease_channel(self) -> Optional[RemoteChannel]:
+        """Check out one currently-idle live worker (its lock held).
 
-        Never blocks: a worker whose lock is taken (mid-batch, or being
-        heartbeated right now) is simply not in this lease.  Callers
-        must :meth:`release` exactly what they got.
+        Never blocks: a worker whose lock is taken (mid-span, or being
+        heartbeated right now) is skipped.  ``None`` when nobody is
+        idle; the caller must ``release`` what it got.
         """
-        leased: List[RemoteWorker] = []
         for worker in self.live():
-            if limit is not None and len(leased) >= limit:
-                break
             if worker.lock.acquire(blocking=False):
                 if worker.alive:
-                    leased.append(worker)
-                else:
-                    worker.lock.release()
-        return leased
-
-    def release(self, leased: List[RemoteWorker]) -> None:
-        for worker in leased:
-            worker.lock.release()
+                    return RemoteChannel(self, worker)
+                worker.lock.release()
+        return None
 
     def drop(self, worker: RemoteWorker) -> None:
         """Forget a worker and close its socket (lease holder or
@@ -247,12 +279,11 @@ class ClusterFleet:
     # -- liveness ------------------------------------------------------
 
     def _heartbeat_loop(self) -> None:
-        from ..core import transport
         ping = bytes([transport.OP_PING])
         while not self._closed.wait(self.heartbeat):
             for worker in self.live():
                 if not worker.lock.acquire(blocking=False):
-                    continue  # busy with a batch; that is liveness
+                    continue  # busy with a span; that is liveness
                 try:
                     if not worker.alive:
                         continue
@@ -269,5 +300,5 @@ class ClusterFleet:
                     worker.lock.release()
 
 
-__all__ = ["ClusterFleet", "RemoteWorker", "DEFAULT_HEARTBEAT",
-           "IDLE_GRACE"]
+__all__ = ["ClusterFleet", "RemoteChannel", "RemoteWorker",
+           "DEFAULT_HEARTBEAT", "IDLE_GRACE"]

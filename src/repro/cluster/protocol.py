@@ -1,4 +1,4 @@
-"""The TCP codec of the worker-pool frame protocol.
+"""The TCP codec of the span-worker frame protocol.
 
 One frame on a socket is a ``<I`` little-endian length prefix followed
 by exactly the bytes the pipe transport would have shipped with

@@ -12,7 +12,7 @@ byte-for-byte the replies a local one would.
 Fault behavior is deliberately simple: *any* connection failure —
 coordinator gone, socket reset, idle silence past the heartbeat grace —
 tears the connection down and reconnects with exponential backoff,
-because the coordinator treats a lost worker as one recoverable batch
+because the coordinator treats a lost worker as one recoverable span
 and re-dispatches elsewhere.  Only typed registration failures
 (:class:`~repro.errors.ClusterAuthError`,
 :class:`~repro.errors.ClusterVersionSkew`) abort the process: retrying
@@ -23,30 +23,16 @@ from __future__ import annotations
 
 import os
 import socket
-import sys
 import time
 from typing import Callable, Optional
 
-from ..core import transport
+from ..core import engine, transport
 from ..errors import ClusterError
 from . import protocol
 from .fleet import DEFAULT_HEARTBEAT, IDLE_GRACE
 
 #: Backoff bounds between reconnect attempts (seconds).
 RECONNECT_MAX = 30.0
-
-
-def _reset_worker_state() -> None:
-    """Start (or restart) from the clean slate a spawned pipe worker
-    gets: no resident evaluators, fault injection armed."""
-    from ..core import engine as _engine
-    _engine._WORKER_EVALUATOR = None
-    _engine._WORKER_PARENT = None
-    _engine._WORKER_SPAN = None
-    jobs_pool = sys.modules.get("repro.jobs.pool")
-    if jobs_pool is not None:
-        jobs_pool._shared_initializer()
-    _engine.install_fault_injection()
 
 
 def parse_endpoint(value: str) -> "tuple[str, int]":
@@ -87,7 +73,7 @@ def run_worker(connect: str, token: str, *, name: str = "",
     name = name or f"{socket.gethostname()}-{os.getpid()}"
     slots = slots or os.cpu_count() or 1
     emit = log or (lambda message: None)
-    _reset_worker_state()
+    engine.reset_worker_state()
     incarnation = 0
     backoff = max(0.1, reconnect_delay)
     while True:

@@ -2,11 +2,11 @@
 
 from .config import RcgpConfig
 from .engine import (
+    ClusterBackend,
+    ClusterDispatch,
     EvaluationBackend,
     EvolutionRun,
-    FitnessCache,
     InlineBackend,
-    ProcessPoolBackend,
     TelemetryWriter,
     decode_genome,
     encode_genome,
@@ -49,8 +49,8 @@ __all__ = [
     "EvolutionRun",
     "EvaluationBackend",
     "InlineBackend",
-    "ProcessPoolBackend",
-    "FitnessCache",
+    "ClusterBackend",
+    "ClusterDispatch",
     "TelemetryWriter",
     "encode_genome",
     "decode_genome",

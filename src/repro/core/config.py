@@ -85,15 +85,12 @@ class RcgpConfig:
     """Record (generation, fitness) improvement events."""
 
     workers: int = 0
-    """Offspring-evaluation parallelism: ``0`` or ``1`` evaluates inline;
-    ``N > 1`` fans each generation's λ offspring out across a persistent
-    ``N``-process pool (see :mod:`repro.core.engine`).  Results are
-    bit-identical to inline mode for a fixed seed."""
-
-    eval_cache_size: int = 100_000
-    """Capacity of the genome-hash → fitness memo cache (``0``
-    disables).  Duplicate mutants — common at low mutation rates and on
-    plateaus — are never re-simulated."""
+    """``0`` or ``1`` runs every generation in this process; ``N > 1``
+    off-loads the run's generation spans to one worker process (see
+    :mod:`repro.core.engine`).  One ``(1+λ)`` trajectory is sequential,
+    so a single run gains no speedup from it — the worker computes span
+    k+1 while this process narrates span k.  Results are bit-identical
+    to inline mode for a fixed seed."""
 
     incremental_eval: bool = True
     """Cone-aware incremental fitness: memoize the parent's per-port
@@ -115,15 +112,15 @@ class RcgpConfig:
     (None: no telemetry)."""
 
     batch_timeout: Optional[float] = None
-    """Wall-clock cap in seconds on one offspring batch in the process
-    pool (None: wait forever).  A batch that overruns is treated like a
-    crashed one: the pool is killed and respawned, and the batch is
-    re-dispatched up to :attr:`batch_retries` times."""
+    """Wall-clock cap in seconds on one span's round trip to a worker
+    (None: wait forever).  A span that overruns is treated like a
+    crashed one: the worker is killed (or a remote one dropped) and the
+    span is re-dispatched up to :attr:`batch_retries` times."""
 
     batch_retries: int = 2
-    """How many times a lost batch (``BrokenProcessPool``, hung worker)
-    is re-dispatched to a freshly spawned pool before the backend
-    degrades to inline evaluation for the rest of the run."""
+    """How many times a lost span (crashed, hung or disconnected
+    worker) is re-dispatched to a fresh worker before the backend
+    degrades to inline evaluation for the rest of the run or slice."""
 
     verify_result: bool = False
     """End-of-run result gate: re-simulate the best candidate on the
@@ -141,8 +138,8 @@ class RcgpConfig:
 
     # ------------------------------------------------------------------
     # Serialization: the single canonical way a config crosses a
-    # process/file boundary (checkpoints, multi-start workers, pool
-    # initializers).  Every field round-trips — nothing is dropped.
+    # process/file boundary (checkpoints, job records, worker span
+    # contexts).  Every field round-trips — nothing is dropped.
 
     def to_dict(self) -> Dict[str, Any]:
         """All fields as a plain JSON-serializable dictionary."""
@@ -177,8 +174,6 @@ class RcgpConfig:
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.eval_cache_size < 0:
-            raise ValueError("eval_cache_size must be >= 0")
         if self.batch_retries < 0:
             raise ValueError("batch_retries must be >= 0")
         if self.batch_timeout is not None and self.batch_timeout <= 0:

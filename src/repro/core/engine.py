@@ -1,38 +1,41 @@
-"""The RCGP evolution engine: one run API, pluggable offspring evaluation.
+"""The RCGP evolution engine: one ``(1 + λ)`` loop, one span dispatch.
 
 The paper's headline cost is the ``(1 + λ)`` inner loop — up to 5·10⁷
-generations per circuit.  This module is the architectural seam that
-makes that loop scale without changing its semantics:
+generations per circuit.  This module runs that loop in exactly one way:
 
 * :class:`EvolutionRun` — the single entry point.  ``evolve``,
   ``evolve_with_checkpoints``, ``multi_start`` and ``windowed_optimize``
   are thin shims over it.
-* :class:`EvaluationBackend` — protocol for evaluating a batch of
-  offspring genomes.  :class:`InlineBackend` evaluates in-process;
-  :class:`ProcessPoolBackend` fans the batch out across a *persistent*
-  worker pool (spawned once per run, not per generation).
-* **Compact genomes** — candidates cross the process boundary as flat
-  tuples of port indices (:func:`encode_genome`), not pickled netlist
-  objects; the same tuple doubles as the memo-cache key.
-* **Fitness memo cache** — duplicate mutants (common at low mutation
-  rates and on plateaus) are never re-simulated.
+* **Spans** — :func:`replay_span` runs up to ``count`` generations of
+  mutation, incremental evaluation, selection and neutral-drift
+  acceptance, stopping at the first strict improvement.  The run loop
+  owns everything else (the shrink/simplify accept block, history,
+  stagnation, the time budget, telemetry) and narrates each span's
+  per-generation records.  Span length is adaptive
+  (:class:`SpanPlanner`).
+* **Backends** — where a span executes.  :class:`InlineBackend` replays
+  it in-process on the run's own evaluator (the serial default, and the
+  only backend for impure configs: SAT counterexample feedback mutates
+  the evaluator).  :class:`ClusterBackend` ships it as one frame through
+  a :class:`ClusterDispatch` — a local pipe worker, remote TCP workers
+  from a :class:`~repro.cluster.fleet.ClusterFleet`, or both — and the
+  worker re-derives every offspring from the RNG keys ``(seed, absolute
+  generation, index)``, so only one genome crosses the wire per span.
 * **Incremental cone-aware evaluation** — each offspring is a
-  :class:`~repro.core.mutation.MutationDelta` away from the shared
-  parent, whose per-port simulation words are memoized in a
+  :class:`~repro.core.mutation.MutationDelta` away from the span's
+  resident parent, whose per-port simulation words are memoized in a
   :class:`~repro.core.simstate.SimulationState`; only the delta's
-  fan-out cone is re-simulated (``config.incremental_eval``).  The
-  inline backend shares one state per generation; the pool backend
-  ships deltas instead of whole genomes and keeps the parent resident
-  in each worker.  Telemetry counts ``eval_full`` /
-  ``eval_incremental`` / ``ports_resimulated`` so the win is
-  observable per generation.
+  fan-out cone is re-simulated (``config.incremental_eval``).
+  Telemetry counts ``eval_full`` / ``eval_incremental`` /
+  ``ports_resimulated``.
 * **Deterministic parallelism** — every offspring gets its own RNG
   stream derived from ``(seed, generation, offspring index)``, so a run
-  is bit-identical for a fixed seed regardless of worker count.
-* **Fault tolerance** — a crashed or hung worker pool is respawned and
-  the lost batch re-dispatched (purity makes the retry bit-identical);
-  exhausted retries degrade the run to inline evaluation instead of
-  aborting, ``KeyboardInterrupt`` finalizes the incumbent cleanly, and
+  is bit-identical for a fixed seed wherever its spans execute.
+* **Fault tolerance** — a span lost to a crashed, hung or disconnected
+  worker is re-dispatched (purity makes the retry bit-identical);
+  exhausted retries replay the span inline on a fallback evaluator
+  built like a worker's and keep doing so for the rest of the slice.
+  ``KeyboardInterrupt`` finalizes the incumbent cleanly, and
   ``worker_restarts`` / ``batches_retried`` / ``degraded_to_inline``
   are reported on the result and in telemetry.
 * **Result gate** (``config.verify_result``) — the finished run's best
@@ -41,12 +44,11 @@ makes that loop scale without changing its semantics:
   (:mod:`repro.core.verify`); violations raise typed
   :mod:`repro.errors` exceptions.
 
-Parallel evaluation requires the fitness function to be *pure*: it is
-used when simulation is exhaustive, or when SAT verification is off and
-the random pattern set is seeded.  Otherwise (the SAT counterexample
-feedback loop mutates the evaluator) the engine silently falls back to
-inline evaluation; the chosen backend is reported in the telemetry
-``run_start`` event.
+Off-loading spans requires the fitness function to be *pure*
+(:func:`parallel_safe`): it is when simulation is exhaustive, or when
+SAT verification is off and the random pattern set is seeded.
+Otherwise the engine silently runs inline; the chosen backend is
+reported in the telemetry ``run_start`` event.
 """
 
 from __future__ import annotations
@@ -54,18 +56,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
 import random
 import struct
 import time
 from collections import OrderedDict
-from concurrent.futures import BrokenExecutor as BrokenExecutorError
-# On 3.10 futures' TimeoutError is not the builtin one (3.11+ aliases it).
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, IO, List, Optional, Protocol, Sequence,
                     Tuple)
 
-from ..errors import FrameError, SynthesisError, WorkerPoolError
+from ..errors import (FrameError, FrameTruncated, SynthesisError,
+                      WorkerPoolError)
 from ..logic.truth_table import TruthTable
 from ..rqfp.netlist import RqfpNetlist
 from ..rqfp.simplify import bypass_wire_gates
@@ -73,17 +74,15 @@ from .config import RcgpConfig
 from .fitness import Evaluator, Fitness
 from .kernel import NetlistKernel
 from .mutation import MutationDelta, mutate_with_delta
-from .simstate import SimulationState
 from . import wire
-from .transport import (HANDLERS, OP_EVAL_DELTAS, OP_EVAL_GENOMES,
-                        OP_RESULT, OP_SPAN, PipeWorkerPool)
+from .transport import HANDLERS, OP_RESULT, OP_SPAN, PipeWorker
 
 ProgressCallback = Callable[[int, Fitness], None]
 
 Genome = Tuple[int, ...]
 """Flat port-index encoding: ``(n_pi, n_gates, in0, in1, in2, config,
-..., po0, po1, ...)``.  Hashable (memo-cache key) and cheap to pickle
-(pool transport); names are dropped — genomes exist to be evaluated."""
+..., po0, po1, ...)``.  Hashable and cheap to ship; names are dropped —
+genomes exist to be evaluated."""
 
 
 # ----------------------------------------------------------------------
@@ -192,168 +191,24 @@ def child_seed(base_seed: int, generation: int, index: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Fitness memo cache
+# Spans: the (1+λ) loop body
 
-
-class FitnessCache:
-    """Bounded LRU map from genome tuples to :class:`Fitness`.
-
-    Evaluation is pure in the modes where the cache is trusted, so a hit
-    is always exact.  The engine clears the cache whenever the
-    evaluator's pattern set changes (SAT counterexample feedback), which
-    is the one mode where results could go stale.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._data: "OrderedDict[Genome, Fitness]" = OrderedDict()
-
-    @property
-    def enabled(self) -> bool:
-        return self.maxsize > 0
-
-    def get(self, genome: Genome) -> Optional[Fitness]:
-        found = self._data.get(genome)
-        if found is None:
-            self.misses += 1
-            return None
-        self._data.move_to_end(genome)
-        self.hits += 1
-        return found
-
-    def put(self, genome: Genome, fitness: Fitness) -> None:
-        if not self.enabled:
-            return
-        self._data[genome] = fitness
-        self._data.move_to_end(genome)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        self._data.clear()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
-# ----------------------------------------------------------------------
-# Evaluation backends
-
-
-class EvaluationBackend(Protocol):
-    """Evaluates a batch of genomes; results keep the batch order.
-
-    Backends may additionally implement the optional incremental entry
-    point ``evaluate_deltas(parent_genome, deltas, children=None)``
-    (see :class:`InlineBackend`): the engine probes for it with
-    ``getattr`` and falls back to :meth:`evaluate` when it is absent or
-    ``config.incremental_eval`` is off, so plain batch backends remain
-    valid.
-    """
-
-    name: str
-
-    def evaluate(self, genomes: Sequence[Genome]) -> List[Fitness]:
-        """Fitness of every genome, in order."""
-        ...  # pragma: no cover
-
-    def close(self) -> None:
-        """Release any resources (worker processes)."""
-        ...  # pragma: no cover
-
-
-class InlineBackend:
-    """Evaluate in the calling process, through a shared evaluator.
-
-    Incremental mode shares one :class:`SimulationState` per parent (so
-    per *generation* in the ``(1+λ)`` loop): the state is rebuilt only
-    when the parent genome or the evaluator's pattern epoch changes, and
-    every offspring in the batch resimulates just its delta's cone
-    against the memoized parent words.
-    """
-
-    name = "inline"
-
-    def __init__(self, evaluator: Evaluator):
-        self._evaluator = evaluator
-        self._parent_genome: Optional[Genome] = None
-        self._parent = None
-        self._state: Optional[SimulationState] = None
-
-    def evaluate(self, genomes: Sequence[Genome]) -> List[Fitness]:
-        evaluator = self._evaluator
-        return [evaluator.evaluate(_decode_candidate(g, evaluator))
-                for g in genomes]
-
-    def evaluate_deltas(self, parent_genome: Genome,
-                        deltas: Sequence[MutationDelta],
-                        children: Optional[Sequence] = None) \
-            -> List[Fitness]:
-        """Fitness of ``[delta.apply_to(parent) for delta in deltas]``.
-
-        ``children`` optionally supplies the already-built offspring
-        candidates (the engine has them anyway), skipping the
-        reconstruction copy.
-        """
-        evaluator = self._evaluator
-        if self._parent_genome != parent_genome or self._state is None \
-                or self._state.epoch != evaluator.pattern_epoch:
-            self._parent = _decode_candidate(parent_genome, evaluator)
-            self._state = evaluator.prepare_parent(self._parent)
-            self._parent_genome = parent_genome
-        out = []
-        for i, delta in enumerate(deltas):
-            if self._state.epoch != evaluator.pattern_epoch:
-                # The pattern set grew mid-batch (SAT counterexample):
-                # rebuild the memoized parent words rather than letting
-                # every remaining offspring fall back to full simulation
-                # against a state known to be stale.
-                self._state = evaluator.prepare_parent(self._parent)
-            child = children[i] if children is not None \
-                else delta.apply_to(self._parent)
-            out.append(evaluator.evaluate_incremental(child, delta,
-                                                      self._state))
-        return out
-
-    def close(self) -> None:
-        pass
-
-
-# Worker-side state for ProcessPoolBackend.  One evaluator per worker
-# process, built once by the pool initializer; jobs then ship only
-# genome tuples (or, incrementally, one parent genome plus per-offspring
-# deltas) and get back plain fitness tuples with counter deltas.
-_WORKER_EVALUATOR: Optional[Evaluator] = None
-_WORKER_PARENT = None  # (Genome, candidate, SimulationState)
-_WORKER_SPAN = None  # (Genome, candidate, SimulationState, consumer map)
 
 # Fault injection for the fault-tolerance test suite: when the
 # environment sets RCGP_TEST_CRASH_AFTER_EVALS / RCGP_TEST_HANG_AFTER_EVALS
 # to N, every worker process dies (or hangs) after its N-th evaluation.
-# None in production — the per-evaluation check is one "is None" branch.
+# Armed only in worker processes; None elsewhere — the per-evaluation
+# check is one "is None" branch.
 _WORKER_FAULT_COUNTDOWN: Optional[int] = None
 _WORKER_FAULT_MODE = ""
 
 _Counters = Tuple[int, int, int]  # (eval_full, eval_incremental, ports)
 
-#: Everything a recoverable batch loss can look like: a worker crashed
-#: or was OOM-killed (BrokenExecutor), a batch overran its deadline,
-#: the IPC pipe/socket died underneath the future, or a frame arrived
-#: malformed (truncated, oversized, unknown opcode — the typed
-#: :class:`~repro.errors.FrameError` family).  Shared by every pool
-#: owner (ProcessPoolBackend, the job scheduler's shared pool, the
-#: cluster dispatch).  Evaluation is pure, so a lost batch re-runs
-#: bit-identically.
-RECOVERABLE_POOL_ERRORS = (BrokenExecutorError, FuturesTimeoutError,
-                           TimeoutError, OSError, EOFError, FrameError)
-
 
 def install_fault_injection() -> None:
     """Arm the worker-side fault hooks from the environment (test use)."""
     global _WORKER_FAULT_COUNTDOWN, _WORKER_FAULT_MODE
-    import os
+    _WORKER_FAULT_COUNTDOWN, _WORKER_FAULT_MODE = None, ""
     for mode, variable in (("crash", "RCGP_TEST_CRASH_AFTER_EVALS"),
                            ("hang", "RCGP_TEST_HANG_AFTER_EVALS")):
         value = os.environ.get(variable, "")
@@ -361,15 +216,6 @@ def install_fault_injection() -> None:
             _WORKER_FAULT_COUNTDOWN = int(value)
             _WORKER_FAULT_MODE = mode
             break
-
-
-def _pool_initializer(spec_bits: List[int], num_vars: int,
-                      config_dict: Dict[str, object]) -> None:
-    global _WORKER_EVALUATOR, _WORKER_PARENT
-    spec = [TruthTable(num_vars, bits) for bits in spec_bits]
-    _WORKER_EVALUATOR = Evaluator(spec, RcgpConfig.from_dict(config_dict))
-    _WORKER_PARENT = None
-    install_fault_injection()
 
 
 def _maybe_inject_fault() -> None:
@@ -381,10 +227,8 @@ def _maybe_inject_fault() -> None:
     if _WORKER_FAULT_COUNTDOWN > 0:
         return
     if _WORKER_FAULT_MODE == "crash":
-        import os
         os._exit(17)  # simulate a hard worker crash (no cleanup)
-    import time as _time
-    _time.sleep(600)  # simulate a hung worker; the master kills us
+    time.sleep(600)  # simulate a hung worker; the master kills us
 
 
 def _counters(evaluator: Evaluator) -> _Counters:
@@ -392,86 +236,33 @@ def _counters(evaluator: Evaluator) -> _Counters:
             evaluator.ports_resimulated)
 
 
-def _pool_evaluate(genomes: Sequence[Genome]) \
-        -> Tuple[List[Tuple[float, int, int, int]], _Counters]:
-    evaluator = _WORKER_EVALUATOR
-    if evaluator is None:
-        raise WorkerPoolError("pool worker used before initialization")
-    before = _counters(evaluator)
-    out = []
-    for genome in genomes:
-        _maybe_inject_fault()
-        fit = evaluator.evaluate(_decode_candidate(genome, evaluator))
-        out.append((fit.success, fit.n_r, fit.n_g, fit.n_b))
-    after = _counters(evaluator)
-    return out, (after[0] - before[0], after[1] - before[1],
-                 after[2] - before[2])
-
-
-def _pool_evaluate_deltas(parent_genome: Genome,
-                          deltas: Sequence[MutationDelta]) \
-        -> Tuple[List[Tuple[float, int, int, int]], _Counters]:
-    """Incremental chunk evaluation against a worker-resident parent.
-
-    The parent netlist and its :class:`SimulationState` are cached in
-    the worker keyed by the parent genome, so across the generations of
-    a plateau only the deltas cross the process boundary in spirit — the
-    parent genome rides along per chunk but decodes/simulates at most
-    once per parent change.
-    """
-    global _WORKER_PARENT
-    evaluator = _WORKER_EVALUATOR
-    if evaluator is None:
-        raise WorkerPoolError("pool worker used before initialization")
-    if _WORKER_PARENT is None or _WORKER_PARENT[0] != parent_genome \
-            or _WORKER_PARENT[2].epoch != evaluator.pattern_epoch:
-        parent = _decode_candidate(parent_genome, evaluator)
-        _WORKER_PARENT = (parent_genome, parent,
-                          evaluator.prepare_parent(parent))
-    _, parent, state = _WORKER_PARENT
-    before = _counters(evaluator)
-    out = []
-    for delta in deltas:
-        _maybe_inject_fault()
-        if state.epoch != evaluator.pattern_epoch:
-            # A SAT counterexample grew this worker's pattern set
-            # mid-chunk: the memoized parent words are stale.  Rebuild
-            # the resident state instead of silently falling back to
-            # full simulation for the rest of the chunk (and leaving a
-            # stale _WORKER_PARENT behind for the next one).
-            _WORKER_PARENT = (parent_genome, parent,
-                              evaluator.prepare_parent(parent))
-            state = _WORKER_PARENT[2]
-        fit = evaluator.evaluate_incremental(delta.apply_to(parent),
-                                             delta, state)
-        out.append((fit.success, fit.n_r, fit.n_g, fit.n_b))
-    after = _counters(evaluator)
-    return out, (after[0] - before[0], after[1] - before[1],
-                 after[2] - before[2])
-
-
 def replay_span(evaluator: Evaluator, resident,
                 request: wire.SpanRequest):
-    """Run the ``(1+λ)`` loop worker-side for one replay span.
+    """Run the ``(1+λ)`` loop for one span of generations.
 
-    Instead of receiving per-offspring :class:`MutationDelta` batches,
-    the worker re-derives every mutation from the deterministic RNG
-    keys ``(seed, absolute generation, index)`` — bit-identical to the
-    coordinator's by construction — and runs mutation, incremental
-    evaluation, selection and neutral-drift acceptance locally.  The
-    span ends at the first *strict* improvement (the coordinator owns
-    the shrink/simplify/history accept block) or after
-    ``request.count`` generations.
+    Every offspring is re-derived from the deterministic RNG keys
+    ``(seed, absolute generation, index)``, so the span is a pure
+    function of the request — the same wherever it runs.  Mutation,
+    evaluation (incremental unless ``config.incremental_eval`` is off),
+    selection (later offspring win ties) and neutral-drift acceptance
+    (with the ``shrink="always"`` policy) happen here.  The span ends at
+    the first *strict* improvement — the run loop owns the
+    shrink/simplify/history accept block — or after ``request.count``
+    generations.
 
     ``resident`` caches ``(genome, parent, state, consumers)`` across
-    spans; like :class:`InlineBackend`, the memoized state is rebuilt
-    only when the chromosome *value* changes (neutral accepts that
-    cancel out keep the warm state) or the pattern epoch moves.
-    Returns ``(SpanResult, resident)``.
+    spans: the memoized state is rebuilt only when the chromosome
+    *value* changes (neutral accepts that cancel out keep the warm
+    state) or the evaluator's pattern epoch moves (SAT counterexample
+    feedback, checked before every offspring).  Returns
+    ``(SpanResult, resident)``.
     """
     config = evaluator.config
+    incremental = config.incremental_eval
 
     def span_state(candidate):
+        if not incremental:
+            return None
         # Span-resident states amortize the parent's fan-out index over
         # the whole span: cone evaluation goes worklist-driven
         # (O(cone)) instead of scanning the netlist tail per offspring.
@@ -485,8 +276,6 @@ def replay_span(evaluator: Evaluator, resident,
         resident = (genome, parent, span_state(parent),
                     parent.consumers())
     genome, parent, state, consumers = resident
-    if state.epoch != evaluator.pattern_epoch:
-        state = span_state(parent)
     parent_fitness = Fitness(*request.parent_fitness)
     rng = random.Random()
     offspring = config.offspring
@@ -511,12 +300,15 @@ def replay_span(evaluator: Evaluator, resident,
                 if delta.flatten() != check[check_at].flatten():
                     raise WorkerPoolError(
                         "worker-side mutation replay diverged from the "
-                        f"shipped-delta path at generation {generation}, "
+                        f"coordinator's at generation {generation}, "
                         f"offspring {i}")
                 check_at += 1
-            if state.epoch != evaluator.pattern_epoch:
-                state = span_state(parent)
-            fit = evaluator.evaluate_incremental(child, delta, state)
+            if incremental:
+                if state.epoch != evaluator.pattern_epoch:
+                    state = span_state(parent)
+                fit = evaluator.evaluate_incremental(child, delta, state)
+            else:
+                fit = evaluator.evaluate(child)
             if best_fit is None or fit.key() >= best_fit.key():
                 best_fit = fit
                 best_child = child
@@ -532,9 +324,9 @@ def replay_span(evaluator: Evaluator, resident,
                 improved = True
                 child_genome = encode_genome(best_child)
                 break
-            # Neutral drift: advance the resident parent exactly as the
-            # serial engine would (shrink policy included), rebuilding
-            # state/consumers only when the chromosome value changed.
+            # Neutral drift: advance the resident parent (shrink policy
+            # included), rebuilding state/consumers only when the
+            # chromosome value changed.
             parent_fitness = best_fit
             new_parent = best_child.shrink() if shrink_always else best_child
             new_genome = encode_genome(new_parent)
@@ -551,166 +343,406 @@ def replay_span(evaluator: Evaluator, resident,
                            final_genome=final_genome), resident
 
 
-# -- wire frames and worker-side handlers ------------------------------
+# -- worker side -------------------------------------------------------
+#
+# A span frame is ``OP_SPAN | u32 context length | pickled JobContext |
+# packed SpanRequest``.  The context names the job and carries what a
+# worker needs to build its evaluator; workers keep a small LRU of
+# per-job evaluators and span residents, so interleaved spans from
+# different jobs (or slices of one job) reuse warm state.
 
-_RESULT_PREFIX = bytes([OP_RESULT])
+#: ``(job_id, spec bits, num_vars, config dict)``.  A run-private
+#: dispatch uses a run-local id; the scheduler uses the job id.
+JobContext = Tuple[str, Tuple[int, ...], int, Dict[str, object]]
+
+#: Worker-side evaluator cache size.  Evaluators hold pattern words and
+#: compiled kernels; a handful of live jobs is the common case and
+#: evicted jobs just rebuild on their next span.
+_WORKER_JOB_CACHE = 8
+
 _U32 = struct.Struct("<I")
+_RESULT_PREFIX = bytes([OP_RESULT])
+_SPAN_EVALUATORS: "OrderedDict[str, Evaluator]" = OrderedDict()
+_SPAN_RESIDENTS: Dict[str, tuple] = {}
 
 
-def _frame_eval_genomes(genomes: Sequence[Genome]) -> bytes:
-    return bytes([OP_EVAL_GENOMES]) + wire.pack_genomes(genomes)
+def reset_worker_state() -> None:
+    """Start a worker from a clean slate: no resident evaluators (a
+    forked worker inherits the coordinator's module state), fault
+    injection armed from the environment."""
+    _SPAN_EVALUATORS.clear()
+    _SPAN_RESIDENTS.clear()
+    install_fault_injection()
 
 
-def _frame_eval_deltas(parent_genome: Genome,
-                       deltas: Sequence[MutationDelta]) -> bytes:
-    blob = wire.pack_genome(parent_genome)
-    return b"".join((bytes([OP_EVAL_DELTAS]), _U32.pack(len(blob)), blob,
-                     wire.pack_deltas(deltas)))
+def _frame_span(ctx_blob: bytes, request: wire.SpanRequest) -> bytes:
+    return b"".join((bytes([OP_SPAN]), _U32.pack(len(ctx_blob)), ctx_blob,
+                     wire.pack_span_request(request)))
 
 
-def _frame_span(request: wire.SpanRequest) -> bytes:
-    return bytes([OP_SPAN]) + wire.pack_span_request(request)
-
-
-def _handle_eval_genomes(payload: memoryview) -> bytes:
-    values, counters = _pool_evaluate(wire.unpack_genomes(payload))
-    return _RESULT_PREFIX + wire.pack_fitness_chunk(values, counters)
-
-
-def _handle_eval_deltas(payload: memoryview) -> bytes:
-    (size,) = _U32.unpack_from(payload, 0)
-    at = _U32.size
-    genome = wire.unpack_genome(payload[at:at + size])
-    deltas = wire.unpack_deltas(payload[at + size:])
-    values, counters = _pool_evaluate_deltas(genome, deltas)
-    return _RESULT_PREFIX + wire.pack_fitness_chunk(values, counters)
+def _job_evaluator(ctx: JobContext) -> Evaluator:
+    job_id, spec_bits, num_vars, config_dict = ctx
+    evaluator = _SPAN_EVALUATORS.get(job_id)
+    if evaluator is None:
+        spec = [TruthTable(num_vars, bits) for bits in spec_bits]
+        evaluator = Evaluator(spec, RcgpConfig.from_dict(config_dict))
+        _SPAN_EVALUATORS[job_id] = evaluator
+        while len(_SPAN_EVALUATORS) > _WORKER_JOB_CACHE:
+            evicted, _ = _SPAN_EVALUATORS.popitem(last=False)
+            _SPAN_RESIDENTS.pop(evicted, None)
+    _SPAN_EVALUATORS.move_to_end(job_id)
+    return evaluator
 
 
 def _handle_span(payload: memoryview) -> bytes:
-    global _WORKER_SPAN
-    evaluator = _WORKER_EVALUATOR
-    if evaluator is None:
-        raise WorkerPoolError("pool worker used before initialization")
-    request = wire.unpack_span_request(payload)
-    result, _WORKER_SPAN = replay_span(evaluator, _WORKER_SPAN, request)
+    (size,) = _U32.unpack_from(payload, 0)
+    at = _U32.size
+    try:
+        ctx: JobContext = pickle.loads(payload[at:at + size])
+    except Exception as exc:  # garbage unpickles to anything
+        raise FrameTruncated(
+            f"undecodable span job context: {exc!r}") from None
+    evaluator = _job_evaluator(ctx)
+    request = wire.unpack_span_request(payload[at + size:])
+    result, _SPAN_RESIDENTS[ctx[0]] = replay_span(
+        evaluator, _SPAN_RESIDENTS.get(ctx[0]), request)
     return _RESULT_PREFIX + wire.pack_span_result(result)
 
 
-HANDLERS[OP_EVAL_GENOMES] = _handle_eval_genomes
-HANDLERS[OP_EVAL_DELTAS] = _handle_eval_deltas
 HANDLERS[OP_SPAN] = _handle_span
 
 
-def kill_executor(pool) -> None:
-    """Tear a ProcessPoolExecutor down *now*, hung workers included.
+# -- coordinator side --------------------------------------------------
 
-    ``shutdown()`` alone joins worker processes, which never returns for
-    a wedged worker — kill them first.  ``_processes`` is stable CPython
-    executor internals; falling back to an empty dict just means
-    ``shutdown()`` does the (slower) work alone.
+#: Everything a recoverable span loss can look like: a worker crashed
+#: or its connection died (EOF/OSError), a span overran its deadline,
+#: or a frame arrived malformed (truncated, oversized, unknown opcode —
+#: the typed :class:`~repro.errors.FrameError` family).  Evaluation is
+#: pure, so a lost span re-runs bit-identically.
+RECOVERABLE_POOL_ERRORS = (TimeoutError, OSError, EOFError, FrameError)
+
+
+class ClusterDispatch:
+    """Ships one span at a time to whichever worker is available.
+
+    Channels are acquired per span: an idle remote worker leased from
+    ``fleet`` (any object with ``lease_channel()``, normally a
+    :class:`~repro.cluster.fleet.ClusterFleet`) first, else the
+    dispatch's own local pipe worker when ``local`` is set (spawned
+    lazily, respawned after a failure).  A dispatch has at most one span
+    in flight, so one local worker is all it ever needs.
+
+    Recovery: a span that fails (worker death, deadline overrun,
+    malformed frame) releases its channel as failed — the local worker
+    is killed, a remote connection dropped — and is re-sent on a fresh
+    channel, up to the caller's retry budget.  :meth:`collect_span`
+    then returns ``None`` with :attr:`last_failure` set to
+    ``"exhausted"``, or ``"no_channels"`` when nobody could take the
+    span at all; the backend replays it inline either way.
+
+    Counters are cumulative across every job and slice that uses the
+    dispatch; :class:`ClusterBackend` exposes slice-local views.
     """
-    if pool is None:
-        return
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
+
+    def __init__(self, fleet=None, *, local: bool = False):
+        self.fleet = fleet
+        self.local = local
+        self._worker: Optional[PipeWorker] = None
+        self.worker_restarts = 0
+        self.batches_retried = 0
+        self.bytes_shipped = 0
+        self.chunks_dispatched = 0
+        self.pipeline_stalls = 0
+        self.spans_remote = 0
+        #: Why the last :meth:`collect_span` returned ``None``.
+        self.last_failure = ""
+        #: Remote worker names that served the last span (empty when
+        #: the local worker did).
+        self.last_workers: Tuple[str, ...] = ()
+        self._frame: Optional[bytes] = None
+        self._channel = None
+        self._live = False
+
+    # -- channels ------------------------------------------------------
+
+    def _acquire(self):
+        if self.fleet is not None:
+            channel = self.fleet.lease_channel()
+            if channel is not None:
+                return channel
+        if not self.local:
+            return None
+        if self._worker is None:
+            try:
+                self._worker = PipeWorker()
+            except OSError:
+                return None  # cannot spawn (fork limit, fd exhaustion)
+        return self._worker
+
+    def _release(self, *, failed: bool) -> None:
+        channel, self._channel = self._channel, None
+        self._live = False
+        if channel is None:
+            return
+        channel.release(failed=failed)
+        if failed and channel is self._worker:
+            self._worker = None
+
+    def _send(self) -> None:
+        self._channel.send(self._frame)
+        self.bytes_shipped += len(self._frame)
+        self.chunks_dispatched += 1
+        self._live = True
+
+    # -- spans ---------------------------------------------------------
+
+    def dispatch_span(self, frame: bytes) -> None:
+        """Ship one span frame without waiting for it.
+
+        The channel stays held until :meth:`collect_span` resolves the
+        span (a fleet heartbeat must never interleave a ping with it).
+        Send failures are left for the collect-side retry loop.
+        """
+        self._frame = frame
+        self._channel = self._acquire()
+        self._live = False
+        if self._channel is None:
+            return
         try:
-            process.kill()
-        except Exception:
-            pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
+            self._send()
+        except (KeyboardInterrupt, SystemExit):
+            self._release(failed=True)
+            raise
+        except RECOVERABLE_POOL_ERRORS:
+            self._release(failed=True)
+
+    def collect_span(self, timeout: Optional[float],
+                     retries: int) -> Optional[wire.SpanResult]:
+        """Block for the in-flight span, with bounded fault recovery."""
+        if self._frame is None:
+            raise RuntimeError("collect_span without a dispatched span")
+        if self._live and not self._channel.ready():
+            # The coordinator caught up with the worker: the overlap
+            # window was shorter than the span's compute time.
+            self.pipeline_stalls += 1
+        attempt = 0
+        while True:
+            if self._channel is None:
+                self._channel = self._acquire()
+                if self._channel is None:
+                    self._frame = None
+                    self.last_failure = "no_channels"
+                    return None
+            channel = self._channel
+            try:
+                if not self._live:
+                    self._send()
+                deadline = None if timeout is None \
+                    else time.monotonic() + timeout
+                reply = channel.recv(deadline)
+                result = wire.unpack_span_result(memoryview(reply)[1:])
+            except (KeyboardInterrupt, SystemExit):
+                self._release(failed=True)
+                raise
+            except RECOVERABLE_POOL_ERRORS:
+                self._release(failed=True)
+                if attempt >= retries:
+                    self._frame = None
+                    self.last_failure = "exhausted"
+                    return None
+                attempt += 1
+                self.batches_retried += 1
+                self.worker_restarts += 1
+                continue
+            self.last_workers = (channel.name,) if channel.remote else ()
+            self.spans_remote += channel.remote
+            self._release(failed=False)
+            self._frame = None
+            return result
+
+    def abandon(self) -> None:
+        """Drop an in-flight span; its channel is released as failed so
+        a late reply can never be read as the next span's."""
+        if self._frame is not None:
+            self._frame = None
+            self._release(failed=True)
+
+    def terminate(self) -> None:
+        """Immediate shutdown (SIGINT path): kill the local worker."""
+        self.abandon()
+        worker, self._worker = self._worker, None
+        if worker is not None:
+            worker.kill()
+
+    def close(self) -> None:
+        """Release the local worker; the fleet belongs to its owner."""
+        self.abandon()
+        worker, self._worker = self._worker, None
+        if worker is not None:
+            worker.close()
+
+
+class EvaluationBackend(Protocol):
+    """Where a run's spans execute.
+
+    The run calls :meth:`dispatch_span` and later :meth:`collect_span`
+    (at most one span in flight), then :meth:`close` when it ends; an
+    optional ``terminate()`` is called instead on ``KeyboardInterrupt``.
+    Evaluation counters (``evaluations``, ``eval_full``,
+    ``eval_incremental``, ``ports_resimulated``) cover only evaluations
+    outside the run's own evaluator; fault and transport counters
+    (``worker_restarts``, ``batches_retried``, ``bytes_shipped``,
+    ``chunks_dispatched``, ``pipeline_stalls``, ``degraded``) are read
+    into the :class:`EvolutionResult`.
+    """
+
+    name: str
+
+    def dispatch_span(self, request: wire.SpanRequest) -> None:
+        ...  # pragma: no cover
+
+    def collect_span(self) -> wire.SpanResult:
+        ...  # pragma: no cover
+
+    def close(self) -> None:
+        ...  # pragma: no cover
+
+
+class InlineBackend:
+    """Replay spans in-process on the run's own evaluator.
+
+    The evaluator's counters are the run's, so this backend reports
+    none of its own.  Also the only correct backend for impure configs:
+    SAT counterexamples grow the run evaluator's pattern set mid-span.
+    """
+
+    name = "inline"
+    evaluations = eval_full = eval_incremental = ports_resimulated = 0
+    worker_restarts = batches_retried = 0
+    bytes_shipped = chunks_dispatched = pipeline_stalls = 0
+    degraded = False
+
+    def __init__(self, evaluator: Evaluator):
+        self._evaluator = evaluator
+        self._resident = None
+        self._request: Optional[wire.SpanRequest] = None
+
+    def dispatch_span(self, request: wire.SpanRequest) -> None:
+        self._request = request
+
+    def collect_span(self) -> wire.SpanResult:
+        request, self._request = self._request, None
+        result, self._resident = replay_span(self._evaluator,
+                                             self._resident, request)
+        return result
+
+    def close(self) -> None:
         pass
 
 
-def chunk_evenly(items: Sequence, workers: int) -> List[List]:
-    """Split a batch into at most ``workers`` contiguous, even chunks."""
-    items = list(items)
-    n = min(workers, len(items))
-    size, extra = divmod(len(items), n)
-    chunks, at = [], 0
-    for i in range(n):
-        width = size + (1 if i < extra else 0)
-        chunks.append(items[at:at + width])
-        at += width
-    return chunks
+def _since(counter: str):
+    """Slice-local view of one of the dispatch's cumulative counters."""
+    return property(lambda self: getattr(self._dispatch, counter)
+                    - self._at[counter])
 
 
-def collect_chunk_results(futures, timeout: Optional[float]) \
-        -> Tuple[List[Fitness], _Counters]:
-    """Gather chunk results under one shared deadline.
+class ClusterBackend:
+    """Per-slice adapter from a run to a :class:`ClusterDispatch`.
 
-    Counters are committed by the caller only once the whole batch
-    succeeded (a retry must not double-count the lost batch's partial
-    progress).
-    """
-    results: List[Fitness] = []
-    totals = [0, 0, 0]
-    deadline = None if timeout is None else time.monotonic() + timeout
-    for future in futures:
-        remaining = None
-        if deadline is not None:
-            remaining = max(0.0, deadline - time.monotonic())
-        values, counters = future.result(timeout=remaining)
-        results.extend(Fitness(*v) for v in values)
-        for i in range(3):
-            totals[i] += counters[i]
-    return results, (totals[0], totals[1], totals[2])
+    Frames carry the slice's :data:`JobContext`; evaluation counters
+    come back per span record and the dispatch's fault/transport
+    counters are exposed as slice-local deltas.  ``name`` is the
+    ``backend`` string the run reports (``"process-pool"`` for a
+    run-private dispatch, ``"shared-pool"`` / ``"cluster"`` under the
+    scheduler).
 
-
-class AdaptiveChunker:
-    """Latency-driven chunk planner for per-generation batches.
-
-    ``chunk_evenly``'s fixed ``workers``-way split pays one dispatch
-    round trip per worker per batch even when the whole batch is
-    microseconds of work — on small broods that overhead *is* the
-    batch.  This planner sizes the split from the observed per-item
-    evaluation time instead: split across workers only when every
-    chunk's useful work amortizes the dispatch cost
-    (``AMORTIZE × DISPATCH_COST``), otherwise ship the whole batch to a
-    single worker.  The first batch probes with a full split so the
-    estimate starts from real data.
+    When the dispatch cannot serve a span the span is replayed inline
+    on a fallback evaluator built exactly like a worker's, so results
+    never change.  Retries exhausted latch :attr:`degraded` for the rest
+    of the slice (every later span runs inline); a fleet with nobody
+    connected is normal cluster weather and does not latch.
     """
 
-    #: Assumed fixed cost of one chunk dispatch+collect round trip (s).
-    DISPATCH_COST = 5e-4
-    #: Minimum useful-work multiple of DISPATCH_COST per chunk.
-    AMORTIZE = 4.0
-    #: EWMA weight of the newest per-item observation.
-    BLEND = 0.3
+    def __init__(self, dispatch: ClusterDispatch, ctx: JobContext,
+                 spec: Sequence[TruthTable], config: RcgpConfig, *,
+                 name: str = "cluster", owns_dispatch: bool = False):
+        self.name = name
+        self._dispatch = dispatch
+        self._owns = owns_dispatch
+        self._ctx_blob = pickle.dumps(ctx)
+        self._spec = list(spec)
+        self._config = config
+        self.evaluations = 0
+        self.eval_full = 0
+        self.eval_incremental = 0
+        self.ports_resimulated = 0
+        #: Every remote worker name that served a span of this slice.
+        self.cluster_workers: set = set()
+        self.degraded = False
+        self._at = {counter: getattr(dispatch, counter) for counter in (
+            "worker_restarts", "batches_retried", "bytes_shipped",
+            "chunks_dispatched", "pipeline_stalls", "spans_remote")}
+        self._fallback: Optional[InlineBackend] = None
+        self._request: Optional[wire.SpanRequest] = None
 
-    def __init__(self, workers: int):
-        self.workers = workers
-        self._per_item: Optional[float] = None
+    worker_restarts = _since("worker_restarts")
+    batches_retried = _since("batches_retried")
+    bytes_shipped = _since("bytes_shipped")
+    chunks_dispatched = _since("chunks_dispatched")
+    pipeline_stalls = _since("pipeline_stalls")
+    spans_remote = _since("spans_remote")
 
-    def plan(self, items: int) -> int:
-        """How many chunks to split ``items`` into (>= 1)."""
-        if items <= 1:
-            return 1
-        if self._per_item is None:
-            return min(self.workers, items)
-        budget = items * self._per_item
-        chunks = int(budget / (self.AMORTIZE * self.DISPATCH_COST))
-        return max(1, min(self.workers, items, chunks))
+    def dispatch_span(self, request: wire.SpanRequest) -> None:
+        self._request = request
+        if not self.degraded:
+            self._dispatch.dispatch_span(
+                _frame_span(self._ctx_blob, request))
 
-    def observe(self, items: int, chunks: int, elapsed: float) -> None:
-        """Fold one batch's wall time into the per-item estimate."""
-        if items <= 0 or elapsed <= 0:
-            return
-        per = max(0.0, elapsed - chunks * self.DISPATCH_COST) / items
-        if self._per_item is None:
-            self._per_item = per
+    def collect_span(self) -> wire.SpanResult:
+        request, self._request = self._request, None
+        result = None
+        if not self.degraded:
+            config = self._config
+            result = self._dispatch.collect_span(config.batch_timeout,
+                                                 config.batch_retries)
+            if result is None:
+                self.degraded = self._dispatch.last_failure == "exhausted"
+            else:
+                self.cluster_workers.update(self._dispatch.last_workers)
+        if result is None:
+            if self._fallback is None:
+                self._fallback = InlineBackend(
+                    Evaluator(self._spec, self._config))
+            self._fallback.dispatch_span(request)
+            result = self._fallback.collect_span()
+        for _accepted, _fit, (full, incremental, ports) in result.records:
+            self.evaluations += full + incremental
+            self.eval_full += full
+            self.eval_incremental += incremental
+            self.ports_resimulated += ports
+        return result
+
+    def terminate(self) -> None:
+        """Immediate shutdown: kill whatever serves the in-flight span."""
+        if self._owns:
+            self._dispatch.terminate()
         else:
-            self._per_item += self.BLEND * (per - self._per_item)
+            self._dispatch.abandon()
+
+    def close(self) -> None:
+        if self._owns:
+            self._dispatch.close()
+        else:
+            self._dispatch.abandon()
 
 
 class SpanPlanner:
-    """Adaptive sizing for worker-side replay spans.
+    """Adaptive span sizing.
 
-    Spans grow geometrically while round trips come back well under the
+    Spans grow geometrically while they come back well under the
     latency target and shrink when they overrun it, so long plateaus
     amortize the per-span round trip while hang detection
-    (``batch_timeout``) and interrupts stay responsive.
+    (``batch_timeout``), the time budget and interrupts stay responsive.
     """
 
     START = 8
@@ -735,316 +767,18 @@ class SpanPlanner:
             self._span = max(self.START, self._span // 2)
 
 
-class ProcessPoolBackend:
-    """Persistent process pool; workers hold a pre-built evaluator.
-
-    The pool is spawned once per run.  Each batch is split into at most
-    ``workers`` contiguous chunks so per-task IPC overhead is amortized
-    over several offspring, and chunk results are concatenated in
-    submission order (determinism does not depend on completion order).
-
-    Only valid when evaluation is pure (exhaustive simulation, or
-    seeded random patterns without SAT feedback) — the engine enforces
-    this via :func:`parallel_safe`.
-
-    **Fault tolerance.**  A batch that dies (``BrokenProcessPool`` — a
-    worker crashed or was OOM-killed) or overruns ``config.batch_timeout``
-    is recovered, not fatal: the pool is killed, respawned, and the whole
-    batch re-dispatched, up to ``config.batch_retries`` times.  Because
-    evaluation here is pure, a re-dispatched batch is bit-identical to
-    the lost one, so recovery never changes results.  When retries are
-    exhausted the backend *degrades to inline evaluation* for the rest
-    of the run — slower, but the run completes.  ``worker_restarts``,
-    ``batches_retried`` and ``degraded`` are surfaced on the
-    :class:`EvolutionResult` and in telemetry.
-    """
-
-    name = "process-pool"
-    #: Evaluations run in worker processes, invisible to the master
-    #: evaluator's counters — the engine adds them back per batch.
-    remote_evaluations = True
-
-    def __init__(self, spec: Sequence[TruthTable], config: RcgpConfig,
-                 workers: int):
-        if workers < 2:
-            raise ValueError("ProcessPoolBackend needs workers >= 2")
-        self._spec = list(spec)
-        self._config = config
-        self.workers = workers
-        # Worker-side evaluation counters, accumulated per chunk result
-        # (the master evaluator never sees pool evaluations).
-        self.eval_full = 0
-        self.eval_incremental = 0
-        self.ports_resimulated = 0
-        # Fault-recovery counters.
-        self.worker_restarts = 0
-        self.batches_retried = 0
-        self.degraded = False
-        # Transport counters (telemetry / EvolutionResult).
-        self.bytes_shipped = 0
-        self.chunks_dispatched = 0
-        self.pipeline_stalls = 0
-        self._chunker = AdaptiveChunker(workers)
-        self._pool: Optional[PipeWorkerPool] = None
-        self._inflight_span: Optional[wire.SpanRequest] = None
-        self._span_live = False
-        self._inline: Optional[InlineBackend] = None
-        self._fallback_evaluator: Optional[Evaluator] = None
-        self._spawn()
-
-    # -- pool lifecycle ------------------------------------------------
-
-    def _spawn(self) -> None:
-        self._pool = PipeWorkerPool(
-            self.workers,
-            init_payload=([t.bits for t in self._spec],
-                          self._spec[0].num_vars,
-                          self._config.to_dict()),
-        )
-
-    def _kill_pool(self) -> None:
-        """Tear the pool down *now*, hung workers included."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.kill()
-
-    def terminate(self) -> None:
-        """Immediate shutdown (SIGINT path): kill workers, cancel work."""
-        self._kill_pool()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def _send(self, index: int, frame: bytes) -> None:
-        self._pool.send(index, frame)
-        self.bytes_shipped += len(frame)
-        self.chunks_dispatched += 1
-
-    # -- inline degradation --------------------------------------------
-
-    def _inline_backend(self) -> InlineBackend:
-        if self._inline is None:
-            # Same construction as the pool initializer, so the
-            # fallback evaluator is interchangeable with a worker's in
-            # every parallel-safe mode (pure evaluation, seeded
-            # patterns) — degrading cannot change results.
-            self._fallback_evaluator = Evaluator(self._spec, self._config)
-            self._inline = InlineBackend(self._fallback_evaluator)
-        return self._inline
-
-    def _run_inline(self, call) -> List[Fitness]:
-        backend = self._inline_backend()
-        evaluator = self._fallback_evaluator
-        before = _counters(evaluator)
-        out = call(backend)
-        after = _counters(evaluator)
-        self.eval_full += after[0] - before[0]
-        self.eval_incremental += after[1] - before[1]
-        self.ports_resimulated += after[2] - before[2]
-        return out
-
-    # -- batch dispatch with recovery ----------------------------------
-
-    def _deadline(self) -> Optional[float]:
-        timeout = self._config.batch_timeout
-        return None if timeout is None else time.monotonic() + timeout
-
-    def _collect(self, count: int) -> Tuple[List[Fitness],
-                                            Tuple[int, int, int]]:
-        """Gather ``count`` chunk replies in submission order."""
-        deadline = self._deadline()
-        results: List[Fitness] = []
-        totals = [0, 0, 0]
-        for index in range(count):
-            frame = self._pool.recv(index, deadline)
-            values, counters = wire.unpack_fitness_chunk(
-                memoryview(frame)[1:])
-            results.extend(Fitness(*value) for value in values)
-            for k in range(3):
-                totals[k] += counters[k]
-        return results, (totals[0], totals[1], totals[2])
-
-    def _run_batch(self, items: List,
-                   make_frame) -> Optional[List[Fitness]]:
-        """Dispatch one batch with bounded fault recovery.
-
-        ``make_frame`` is ``(chunk) -> request frame`` for one chunk of
-        ``items``.  Returns None when recovery is exhausted and the
-        backend has degraded — the caller then evaluates inline.
-        """
-        if self.degraded:
-            return None
-        retries = self._config.batch_retries
-        attempt = 0
-        plan = self._chunker.plan(len(items))
-        while True:
-            try:
-                if self._pool is None:
-                    self._spawn()
-                chunks = chunk_evenly(items, plan)
-                started = time.monotonic()
-                for index, chunk in enumerate(chunks):
-                    self._send(index, make_frame(chunk))
-                results, counters = self._collect(len(chunks))
-                self._chunker.observe(len(items), len(chunks),
-                                      time.monotonic() - started)
-            except (KeyboardInterrupt, SystemExit):
-                self._kill_pool()
-                raise
-            except RECOVERABLE_POOL_ERRORS:
-                self._kill_pool()
-                if attempt >= retries:
-                    # Recovery exhausted: degrade for the rest of the
-                    # run instead of aborting a possibly hours-long
-                    # search over an infrastructure failure.
-                    self.degraded = True
-                    return None
-                attempt += 1
-                self.batches_retried += 1
-                self.worker_restarts += 1
-                try:
-                    self._spawn()
-                except OSError:
-                    # Cannot even respawn (fork limit, fd exhaustion):
-                    # nothing left to retry with.
-                    self.degraded = True
-                    return None
-                continue
-            self.eval_full += counters[0]
-            self.eval_incremental += counters[1]
-            self.ports_resimulated += counters[2]
-            return results
-
-    # -- the EvaluationBackend surface ---------------------------------
-
-    def evaluate(self, genomes: Sequence[Genome]) -> List[Fitness]:
-        genomes = list(genomes)
-        if not genomes:
-            return []
-        results = self._run_batch(genomes, _frame_eval_genomes)
-        if results is None:
-            return self._run_inline(lambda b: b.evaluate(genomes))
-        return results
-
-    def evaluate_deltas(self, parent_genome: Genome,
-                        deltas: Sequence[MutationDelta],
-                        children: Optional[Sequence[RqfpNetlist]] = None) \
-            -> List[Fitness]:
-        """Incremental batch: ship deltas, not whole offspring genomes.
-
-        ``children`` is accepted for interface symmetry with
-        :meth:`InlineBackend.evaluate_deltas` but never crosses the
-        process boundary — workers rebuild each offspring from their
-        resident parent.  (The degraded inline fallback does use them.)
-        """
-        deltas = list(deltas)
-        if not deltas:
-            return []
-        results = self._run_batch(
-            deltas,
-            lambda chunk: _frame_eval_deltas(parent_genome, chunk))
-        if results is None:
-            return self._run_inline(
-                lambda b: b.evaluate_deltas(parent_genome, deltas,
-                                            children))
-        return results
-
-    # -- replay spans (worker-side mutation replay) --------------------
-
-    @property
-    def supports_spans(self) -> bool:
-        return not self.degraded
-
-    def dispatch_span(self, request: "wire.SpanRequest") -> bool:
-        """Ship one replay span to worker 0 without waiting for it.
-
-        Returns False when the backend has degraded (the engine then
-        falls back to the classic per-generation loop).  Dispatch
-        failures are not retried here — :meth:`collect_span` owns the
-        retry loop and re-dispatches from the stored request, so a
-        frame lost to a dying pipe is simply sent again.
-        """
-        if self.degraded:
-            return False
-        self._inflight_span = request
-        self._span_live = False
-        try:
-            if self._pool is None:
-                self._spawn()
-            self._send(0, _frame_span(request))
-            self._span_live = True
-        except (KeyboardInterrupt, SystemExit):
-            self._kill_pool()
-            raise
-        except RECOVERABLE_POOL_ERRORS:
-            self._kill_pool()
-        return True
-
-    def collect_span(self) -> Optional["wire.SpanResult"]:
-        """Block for the in-flight span's result, with fault recovery.
-
-        Returns None when recovery is exhausted (backend degraded) —
-        the engine replays the span's generations inline.  Worker
-        evaluation-counter deltas are committed here, once per record,
-        exactly as chunk results commit theirs.
-        """
-        request = self._inflight_span
-        if request is None:
-            raise RuntimeError("collect_span without a dispatched span")
-        if self.degraded:
-            self._inflight_span = None
-            self._span_live = False
-            return None
-        if self._span_live and self._pool is not None \
-                and not self._pool.ready(0):
-            # The coordinator caught up with the worker: the overlap
-            # window was shorter than the span's compute time.
-            self.pipeline_stalls += 1
-        retries = self._config.batch_retries
-        attempt = 0
-        while True:
-            try:
-                if self._pool is None:
-                    self._spawn()
-                if not self._span_live:
-                    self._send(0, _frame_span(request))
-                    self._span_live = True
-                frame = self._pool.recv(0, self._deadline())
-            except (KeyboardInterrupt, SystemExit):
-                self._kill_pool()
-                raise
-            except RECOVERABLE_POOL_ERRORS:
-                self._kill_pool()
-                self._span_live = False
-                if attempt >= retries:
-                    self.degraded = True
-                    self._inflight_span = None
-                    return None
-                attempt += 1
-                self.batches_retried += 1
-                self.worker_restarts += 1
-                continue
-            result = wire.unpack_span_result(memoryview(frame)[1:])
-            for _accepted, _fit, deltas in result.records:
-                self.eval_full += deltas[0]
-                self.eval_incremental += deltas[1]
-                self.ports_resimulated += deltas[2]
-            self._inflight_span = None
-            self._span_live = False
-            return result
-
-
-def parallel_safe(evaluator: Evaluator, config: RcgpConfig) -> bool:
-    """Whether fitness evaluation is pure enough to run in a pool.
+def parallel_safe(num_inputs: int, config: RcgpConfig) -> bool:
+    """Whether a run's spans may execute outside its own evaluator.
 
     Exhaustive simulation is pure.  Sampled simulation without SAT is
     pure iff the pattern set is reproducible (seeded).  Sampled
     simulation *with* SAT feeds counterexamples back into the pattern
-    set, so workers would drift from the parent process — not safe.
+    set, so a worker would drift from the run's evaluator — not safe.
+    The seed must also fit the span frame's signed 64-bit field.
     """
-    if evaluator.exhaustive:
+    if config.seed is not None and not -2**63 <= config.seed < 2**63:
+        return False
+    if num_inputs <= config.exhaustive_input_limit:
         return True
     return not config.verify_with_sat and config.seed is not None
 
@@ -1119,6 +853,8 @@ class EvolutionResult:
     history: List[Tuple[int, Fitness]] = field(default_factory=list)
     sat_calls: int = 0
     cache_hits: int = 0
+    """Always 0: the fitness memo cache is gone.  Kept so stored
+    artifacts, telemetry consumers and ``/metrics`` keep their shape."""
     backend: str = "inline"
     eval_full: int = 0
     eval_incremental: int = 0
@@ -1151,19 +887,19 @@ class EvolutionRun:
     >>> result = run.run()
 
     Each generation mutates the single best parent into λ offspring
-    (each from its own deterministic RNG stream), evaluates them through
-    the configured backend behind the memo cache, and accepts an
-    offspring whose fitness is better *or equal* (neutral drift, §3.2.4)
-    as the next parent.  Useless gates are shrunk from accepted parents
-    per the configured policy (§3.2.3).
+    (each from its own deterministic RNG stream), evaluates them, and
+    accepts an offspring whose fitness is better *or equal* (neutral
+    drift, §3.2.4) as the next parent.  Useless gates are shrunk from
+    accepted parents per the configured policy (§3.2.3).  Generations
+    run in spans (:func:`replay_span`) on the configured backend.
 
     Parameters
     ----------
     spec:
         Target truth tables, one per primary output.
     config:
-        All knobs, including ``workers`` (0/1 = inline, N>1 = process
-        pool), ``eval_cache_size`` and ``telemetry_path``.
+        All knobs, including ``workers`` (0/1 = inline, N>1 = off-load
+        spans to a worker process) and ``telemetry_path``.
     initial:
         Starting netlist; defaults to the §3.1 initialization flow.
     progress:
@@ -1173,8 +909,9 @@ class EvolutionRun:
         ``config.telemetry_path``.
     backend:
         Pre-built :class:`EvaluationBackend`; overrides
-        ``config.workers``.  The caller keeps ownership (it is not
-        closed by :meth:`run`).
+        ``config.workers``.  :meth:`run` closes it on exit (a
+        :class:`ClusterBackend` then abandons any span still in flight;
+        the dispatch under it stays with its owner).
     generation_offset:
         Number of generations a *previous* slice of the same logical
         run already executed.  Offspring RNG streams are keyed by the
@@ -1202,42 +939,26 @@ class EvolutionRun:
         self._backend = backend
         self.generation_offset = generation_offset
 
-    # -- internals -----------------------------------------------------
-
-    def _make_backend(self, evaluator: Evaluator) -> \
-            Tuple[EvaluationBackend, bool]:
-        """Backend per config; returns ``(backend, engine_owns_it)``."""
+    def _make_backend(self, evaluator: Evaluator) -> EvaluationBackend:
         if self._backend is not None:
-            return self._backend, False
+            return self._backend
         config = self.config
+        spec = self.spec
         if config.workers > 1 and config.generations > 0 \
-                and parallel_safe(evaluator, config):
-            return ProcessPoolBackend(self.spec, config,
-                                      config.workers), True
-        return InlineBackend(evaluator), True
-
-    def _fitness_of(self, genome: Genome, netlist: RqfpNetlist,
-                    evaluator: Evaluator, cache: FitnessCache) -> Fitness:
-        """Cache-aware single evaluation through the master evaluator."""
-        if cache.enabled:
-            found = cache.get(genome)
-            if found is not None:
-                return found
-        epoch = evaluator.pattern_epoch
-        fitness = evaluator.evaluate(netlist)
-        if evaluator.pattern_epoch != epoch:
-            cache.clear()
-        else:
-            cache.put(genome, fitness)
-        return fitness
-
-    # -- the run -------------------------------------------------------
+                and parallel_safe(spec[0].num_vars, config):
+            # The worker process belongs to this run alone, so any
+            # job id keys its evaluator.
+            ctx = ("run", tuple(t.bits for t in spec), spec[0].num_vars,
+                   config.to_dict())
+            return ClusterBackend(ClusterDispatch(local=True), ctx, spec,
+                                  config, name="process-pool",
+                                  owns_dispatch=True)
+        return InlineBackend(evaluator)
 
     def run(self) -> EvolutionResult:
         config = self.config
         spec = self.spec
         evaluator = Evaluator(spec, config, random.Random(config.seed))
-        cache = FitnessCache(config.eval_cache_size)
         if config.seed is not None:
             base_seed = config.seed
         else:
@@ -1255,8 +976,7 @@ class EvolutionRun:
             parent = NetlistKernel.from_netlist(parent)
 
         parent_genome = encode_genome(parent)
-        parent_fitness = self._fitness_of(parent_genome, parent,
-                                          evaluator, cache)
+        parent_fitness = evaluator.evaluate(parent)
         if not parent_fitness.functional:
             raise SynthesisError(
                 "initial netlist does not realize the specification: "
@@ -1265,26 +985,13 @@ class EvolutionRun:
         initial_fitness = parent_fitness
         history: List[Tuple[int, Fitness]] = [(0, parent_fitness)]
 
-        backend, owns_backend = self._make_backend(evaluator)
+        backend = self._make_backend(evaluator)
         telemetry = self._telemetry
         owns_telemetry = False
         if telemetry is None and config.telemetry_path is not None:
             telemetry = TelemetryWriter(config.telemetry_path)
             owns_telemetry = True
 
-        delta_eval = getattr(backend, "evaluate_deltas", None)
-        incremental = config.incremental_eval and delta_eval is not None
-        # Backends whose evaluations happen in other processes (the
-        # run-private pool, the scheduler's shared pool) never touch the
-        # master evaluator's counters; the engine adds them back.
-        remote = getattr(backend, "remote_evaluations", False)
-        pool_evaluations = 0
-        # Connectivity view of the current parent, built lazily and
-        # *shared* across the brood: mutate_with_delta(rollback=True)
-        # journals its consumer-map edits and rewinds them, so no
-        # per-offspring copy exists at all.  Invalidated whenever the
-        # parent changes.
-        parent_consumers = None
         start = time.monotonic()
         stagnation = 0
         generation = 0
@@ -1294,160 +1001,109 @@ class EvolutionRun:
                 num_inputs=spec[0].num_vars, num_outputs=len(spec),
                 generations=config.generations, offspring=config.offspring,
                 workers=config.workers, backend=backend.name,
-                incremental=incremental,
+                incremental=config.incremental_eval,
                 seed=config.seed, initial_key=list(parent_fitness.key()),
             )
 
         def counter(name: str) -> int:
-            # Master-evaluator counters plus whatever the backend ran
-            # remotely (InlineBackend shares the master evaluator and
-            # defines no counters of its own, so nothing double-counts).
-            return getattr(evaluator, name) + getattr(backend, name, 0)
+            # The run evaluator's counters plus whatever the backend
+            # evaluated elsewhere (InlineBackend reports zeros).
+            return getattr(evaluator, name) + getattr(backend, name)
 
-        # Fault observability: emit a worker_fault event whenever the
-        # pool backend's recovery counters move (checked once per
-        # generation — three attribute reads, nothing on the inline path
-        # and nothing at all without telemetry).
+        # Fault observability: a worker_fault event whenever the
+        # backend's recovery counters move (checked once per span).
         interrupted = False
-        last_faults = (0, 0, False) \
-            if telemetry is not None and remote else None
-
-        # Worker-side mutation replay: when offspring cross a process
-        # boundary anyway and the memo cache is off (every child is
-        # evaluated, so nothing coordinator-side needs per-child
-        # genomes), whole plateau stretches run on the worker — the
-        # coordinator ships one genome per span instead of λ deltas per
-        # generation.  RCGP_REPLAY=0 restores per-generation dispatch;
-        # RCGP_CHECK_INCREMENTAL=1 keeps replay but ships the
-        # coordinator's own deltas alongside for worker-side
-        # verification (span length 1).
-        stop = False
+        last_faults = (0, 0, False)
         name_template = parent
+        # RCGP_CHECK_INCREMENTAL=1 runs one-generation spans carrying
+        # the coordinator's own mutation deltas, which the span
+        # cross-checks against its re-derived ones.
         check_mode = os.environ.get(
             "RCGP_CHECK_INCREMENTAL", "") not in ("", "0")
-        use_replay = (
-            incremental and remote and not cache.enabled
-            and config.time_budget is None
-            and getattr(backend, "supports_spans", False)
-            and os.environ.get("RCGP_REPLAY", "1") != "0"
-            and -2**63 <= base_seed < 2**63
-            and parallel_safe(evaluator, config))
-        planner = SpanPlanner(config.batch_timeout) if use_replay else None
+        planner = SpanPlanner(config.batch_timeout)
 
-        def span_headroom(gen: int, stag: int) -> int:
-            # How many generations the worker may run before the serial
-            # loop would have stopped anyway (budget end or stagnation
-            # break) — spans never overshoot either.
+        def dispatch(gen: int, stag: int):
+            """Send the span after generation ``gen``; None when the
+            budget, stagnation limit or time budget ends the run."""
             room = config.generations - gen
             if config.stagnation_limit is not None:
                 room = min(room, config.stagnation_limit - stag)
-            return room
-
-        def make_span(first: int, count: int) -> wire.SpanRequest:
-            nonlocal parent_consumers
+            if room < 1 or (config.time_budget is not None and
+                            time.monotonic() - start >= config.time_budget):
+                return None
+            count = 1 if check_mode else planner.plan(room)
             check = None
             if check_mode:
-                if parent_consumers is None:
-                    parent_consumers = parent.consumers()
-                check = []
-                for g in range(count):
-                    for i in range(config.offspring):
-                        rng = random.Random(child_seed(
-                            base_seed,
-                            self.generation_offset + first + g, i))
-                        _, delta = mutate_with_delta(
-                            parent, rng, config,
-                            consumers=parent_consumers, rollback=True)
-                        check.append(delta)
-            return wire.SpanRequest(
+                consumers = parent.consumers()
+                check = [mutate_with_delta(
+                    parent, random.Random(child_seed(
+                        base_seed, self.generation_offset + gen + 1, i)),
+                    config, consumers=consumers, rollback=True)[1]
+                    for i in range(config.offspring)]
+            dispatched_at = time.monotonic()
+            backend.dispatch_span(wire.SpanRequest(
                 base_seed=base_seed,
-                start_gen=self.generation_offset + first,
+                start_gen=self.generation_offset + gen + 1,
                 count=count,
                 parent_fitness=(parent_fitness.success, parent_fitness.n_r,
                                 parent_fitness.n_g, parent_fitness.n_b),
                 parent_genome=parent_genome,
-                check_deltas=check)
+                check_deltas=check))
+            return count, dispatched_at
 
         try:
             try:
-                inflight = None
-                while use_replay and not stop \
-                        and generation < config.generations:
-                    if inflight is None:
-                        planned = 1 if check_mode \
-                            else planner.plan(
-                                span_headroom(generation, stagnation))
-                        request = make_span(generation + 1, planned)
-                        dispatched_at = time.monotonic()
-                        if not backend.dispatch_span(request):
-                            break  # degraded: classic loop runs inline
-                        inflight = (planned, dispatched_at)
+                inflight = dispatch(0, 0)
+                while inflight is not None:
                     planned, dispatched_at = inflight
-                    inflight = None
                     result = backend.collect_span()
-                    if result is None:
-                        break  # degraded: classic loop runs inline
                     planner.observe(planned, len(result.records),
                                     time.monotonic() - dispatched_at)
                     records = result.records
                     executed = len(records)
                     span_start_fitness = parent_fitness
-                    # Per-record cumulative counter values: collect_span
-                    # committed every record's worker deltas, so record
-                    # j's telemetry value is the live counter minus the
+                    # Per-record cumulative counter values: the counters
+                    # already include every record of the span, so
+                    # record j's value is the live counter minus the
                     # deltas of the records after j.  (The improving
                     # last record instead reads live counters after the
-                    # accept block, catching the master-side simplify
-                    # re-evaluation exactly like the serial loop.)
-                    prefixes: List[Tuple[int, int, int]] = []
+                    # accept block, catching the simplify re-evaluation.)
+                    prefixes: List[Tuple[int, int, int, int]] = []
                     if telemetry is not None:
-                        live = (counter("eval_full"),
+                        live = (counter("evaluations"),
+                                counter("eval_full"),
                                 counter("eval_incremental"),
                                 counter("ports_resimulated"))
                         prefixes = [live] * executed
                         behind = (0, 0, 0)
                         for j in range(executed - 1, -1, -1):
-                            prefixes[j] = (live[0] - behind[0],
-                                           live[1] - behind[1],
-                                           live[2] - behind[2])
+                            prefixes[j] = (
+                                live[0] - behind[0] - behind[1],
+                                live[1] - behind[0], live[2] - behind[1],
+                                live[3] - behind[2])
                             deltas = records[j][2]
                             behind = (behind[0] + deltas[0],
                                       behind[1] + deltas[1],
                                       behind[2] + deltas[2])
+                    inflight = None
                     if not result.improved:
                         # Advance the incumbent *first* so the next span
                         # can be dispatched before the per-record
-                        # bookkeeping below — the worker computes span
+                        # bookkeeping below — a worker computes span
                         # k+1 while the coordinator narrates span k.
-                        last_fit = None
                         for accepted, fit, _deltas in records:
                             if accepted:
-                                last_fit = fit
-                        if last_fit is not None:
-                            parent_fitness = Fitness(*last_fit)
+                                parent_fitness = Fitness(*fit)
                         if result.final_genome is not None:
                             parent_genome = result.final_genome
                             parent = _adopt_names(
                                 _decode_candidate(parent_genome, evaluator),
                                 name_template)
-                            parent_consumers = None
-                        end_generation = generation + executed
-                        end_stagnation = stagnation + executed
-                        if not check_mode and \
-                                span_headroom(end_generation,
-                                              end_stagnation) >= 1:
-                            planned = planner.plan(
-                                span_headroom(end_generation,
-                                              end_stagnation))
-                            request = make_span(end_generation + 1,
-                                                planned)
-                            dispatched_at = time.monotonic()
-                            if backend.dispatch_span(request):
-                                inflight = (planned, dispatched_at)
+                        inflight = dispatch(generation + executed,
+                                            stagnation + executed)
                     cur_fitness = span_start_fitness
                     for j, (accepted, fit, _deltas) in enumerate(records):
                         generation += 1
-                        pool_evaluations += config.offspring
                         improved = result.improved and j == executed - 1
                         if accepted and not improved \
                                 and telemetry is not None:
@@ -1456,10 +1112,6 @@ class EvolutionRun:
                             # when nothing is listening.
                             cur_fitness = Fitness(*fit)
                         if improved:
-                            # The coordinator owns the accept block for
-                            # strict improvements — identical to the
-                            # serial loop's, incumbent decoded from the
-                            # span's winning offspring.
                             parent = _adopt_names(
                                 _decode_candidate(result.child_genome,
                                                   evaluator),
@@ -1469,6 +1121,10 @@ class EvolutionRun:
                                                  "on_improvement"):
                                 parent = parent.shrink()
                             if config.simplify_wires:
+                                # Wire bypass is a cold structural pass
+                                # that needs gate objects; round-trip
+                                # through the object netlist only when
+                                # it actually helps.
                                 flat = isinstance(parent, NetlistKernel)
                                 view = parent.to_netlist() if flat \
                                     else parent
@@ -1476,11 +1132,9 @@ class EvolutionRun:
                                 if simplified.num_gates < view.num_gates:
                                     parent = NetlistKernel.from_netlist(
                                         simplified) if flat else simplified
-                                    parent_fitness = self._fitness_of(
-                                        encode_genome(parent), parent,
-                                        evaluator, cache)
+                                    parent_fitness = evaluator.evaluate(
+                                        parent)
                             parent_genome = encode_genome(parent)
-                            parent_consumers = None
                             cur_fitness = parent_fitness
                             stagnation = 0
                             if config.track_history:
@@ -1488,9 +1142,12 @@ class EvolutionRun:
                                                 parent_fitness))
                             if self.progress is not None:
                                 self.progress(generation, parent_fitness)
+                        else:
+                            stagnation += 1
                         if telemetry is not None:
-                            ef, ei, pr = (
-                                (counter("eval_full"),
+                            ev, ef, ei, pr = (
+                                (counter("evaluations"),
+                                 counter("eval_full"),
                                  counter("eval_incremental"),
                                  counter("ports_resimulated"))
                                 if j == executed - 1 else prefixes[j])
@@ -1498,200 +1155,34 @@ class EvolutionRun:
                                 "generation", generation=generation,
                                 best_key=list(cur_fitness.key()),
                                 improved=improved, accepted=accepted,
-                                evaluations=evaluator.evaluations
-                                + pool_evaluations,
-                                cache_hits=cache.hits,
+                                evaluations=ev, cache_hits=0,
                                 sat_calls=evaluator.sat_calls,
                                 eval_full=ef, eval_incremental=ei,
                                 ports_resimulated=pr,
                                 wall_time=round(
                                     time.monotonic() - start, 6),
                             )
-                        if not improved:
-                            stagnation += 1
-                            if config.stagnation_limit is not None and \
-                                    stagnation >= config.stagnation_limit:
-                                stop = True
-                    if last_faults is not None:
-                        faults = (backend.worker_restarts,
-                                  backend.batches_retried,
-                                  backend.degraded)
-                        if faults != last_faults:
-                            last_faults = faults
-                            telemetry.emit(
-                                "worker_fault", generation=generation,
-                                worker_restarts=faults[0],
-                                batches_retried=faults[1],
-                                degraded=faults[2])
-
-                classic_start = config.generations + 1 if stop \
-                    else generation + 1
-                for generation in range(classic_start,
-                                        config.generations + 1):
-                    if config.time_budget is not None and \
-                            time.monotonic() - start >= config.time_budget:
-                        generation -= 1
-                        break
-
-                    # Mutation: one private RNG stream per offspring, keyed
-                    # by the absolute generation so the mutant set is a
-                    # function of (seed, generation) alone — even when the
-                    # budget is run in checkpointed slices.
-                    children = []
-                    if parent_consumers is None:
-                        parent_consumers = parent.consumers()
-                    for i in range(config.offspring):
-                        rng = random.Random(child_seed(
-                            base_seed,
-                            self.generation_offset + generation, i))
-                        child, delta = mutate_with_delta(
-                            parent, rng, config,
-                            consumers=parent_consumers, rollback=True)
-                        children.append((child, delta))
-
-                    # Evaluation: memo-cache lookup first, then one batched
-                    # backend call over the distinct misses — incremental
-                    # (parent genome + deltas) when the backend supports it.
-                    if not cache.enabled:
-                        # No memoization: every child is evaluated, so the
-                        # genome keys (an O(genome) tuple hash per dict
-                        # operation) buy nothing — skip them entirely.  The
-                        # non-incremental backend still transports genomes.
-                        if incremental:
-                            fitnesses = list(delta_eval(
-                                parent_genome,
-                                [delta for _, delta in children],
-                                [child for child, _ in children]))
-                        else:
-                            fitnesses = list(backend.evaluate(
-                                [genome_with_delta(parent_genome, delta)
-                                 for _, delta in children]))
-                        if remote:
-                            pool_evaluations += len(children)
-                    else:
-                        fitnesses: List[Optional[Fitness]] = \
-                            [None] * len(children)
-                        miss_order: List[Genome] = []
-                        miss_slots: Dict[Genome, List[int]] = {}
-                        miss_children: Dict[Genome, RqfpNetlist] = {}
-                        miss_deltas: Dict[Genome, MutationDelta] = {}
-                        for slot, (child, delta) in enumerate(children):
-                            genome = genome_with_delta(parent_genome, delta)
-                            found = cache.get(genome)
-                            if found is not None:
-                                fitnesses[slot] = found
-                            elif genome in miss_slots:
-                                # Duplicate within the batch: evaluate once.
-                                cache.hits += 1
-                                cache.misses -= 1
-                                miss_slots[genome].append(slot)
-                            else:
-                                miss_order.append(genome)
-                                miss_slots[genome] = [slot]
-                                miss_children[genome] = child
-                                miss_deltas[genome] = delta
-                        if miss_order:
-                            epoch = evaluator.pattern_epoch
-                            if incremental:
-                                evaluated = delta_eval(
-                                    parent_genome,
-                                    [miss_deltas[g] for g in miss_order],
-                                    [miss_children[g] for g in miss_order])
-                            else:
-                                evaluated = backend.evaluate(miss_order)
-                            if remote:
-                                pool_evaluations += len(miss_order)
-                            for genome, fitness in zip(miss_order, evaluated):
-                                for slot in miss_slots[genome]:
-                                    fitnesses[slot] = fitness
-                            if evaluator.pattern_epoch != epoch:
-                                cache.clear()
-                            else:
-                                for genome, fitness in zip(miss_order,
-                                                           evaluated):
-                                    cache.put(genome, fitness)
-
-                    # Selection: later offspring win ties, matching the
-                    # historical serial loop (>= replacement).
-                    best_slot = 0
-                    for slot in range(1, len(children)):
-                        if fitnesses[slot].key() >= fitnesses[best_slot].key():
-                            best_slot = slot
-                    best_fitness = fitnesses[best_slot]
-                    best_child = children[best_slot][0]
-                    assert best_fitness is not None
-
-                    accepted = best_fitness.key() >= parent_fitness.key()
-                    improved = False
-                    if accepted:
-                        improved = best_fitness.key() > parent_fitness.key()
-                        parent, parent_fitness = best_child, best_fitness
-                        if config.shrink == "always" or (
-                                config.shrink == "on_improvement" and improved):
-                            parent = parent.shrink()
-                        if improved and config.simplify_wires:
-                            # Wire bypass is a cold structural pass that
-                            # needs gate objects; round-trip through the
-                            # object netlist only when it actually helps.
-                            flat = isinstance(parent, NetlistKernel)
-                            view = parent.to_netlist() if flat else parent
-                            simplified = bypass_wire_gates(view)
-                            if simplified.num_gates < view.num_gates:
-                                parent = NetlistKernel.from_netlist(simplified) \
-                                    if flat else simplified
-                                parent_fitness = self._fitness_of(
-                                    encode_genome(parent), parent,
-                                    evaluator, cache)
-                        parent_genome = encode_genome(parent)
-                        parent_consumers = None
-                        if improved:
-                            stagnation = 0
-                            if config.track_history:
-                                history.append((generation, parent_fitness))
-                            if self.progress is not None:
-                                self.progress(generation, parent_fitness)
-                    if telemetry is not None:
+                    if result.improved:
+                        inflight = dispatch(generation, stagnation)
+                    faults = (backend.worker_restarts,
+                              backend.batches_retried, backend.degraded)
+                    if telemetry is not None and faults != last_faults:
+                        last_faults = faults
                         telemetry.emit(
-                            "generation", generation=generation,
-                            best_key=list(parent_fitness.key()),
-                            improved=improved, accepted=accepted,
-                            evaluations=evaluator.evaluations + pool_evaluations,
-                            cache_hits=cache.hits,
-                            sat_calls=evaluator.sat_calls,
-                            eval_full=counter("eval_full"),
-                            eval_incremental=counter("eval_incremental"),
-                            ports_resimulated=counter("ports_resimulated"),
-                            wall_time=round(time.monotonic() - start, 6),
-                        )
-                    if last_faults is not None:
-                        faults = (backend.worker_restarts,
-                                  backend.batches_retried, backend.degraded)
-                        if faults != last_faults:
-                            last_faults = faults
-                            telemetry.emit(
-                                "worker_fault", generation=generation,
-                                worker_restarts=faults[0],
-                                batches_retried=faults[1],
-                                degraded=faults[2])
-                    if improved:
-                        continue
-                    stagnation += 1
-                    if config.stagnation_limit is not None and \
-                            stagnation >= config.stagnation_limit:
-                        break
-
+                            "worker_fault", generation=generation,
+                            worker_restarts=faults[0],
+                            batches_retried=faults[1],
+                            degraded=faults[2])
             except KeyboardInterrupt:
                 # Clean SIGINT shutdown: keep the incumbent parent,
-                # kill the pool immediately (workers may be mid-batch
-                # or wedged), finalize and return the best-so-far
-                # result with interrupted=True instead of dying with
-                # a half-written telemetry stream and orphan workers.
+                # kill whatever serves the in-flight span (it may be
+                # wedged), finalize and return the best-so-far result
+                # with interrupted=True instead of dying with a
+                # half-written telemetry stream and orphan workers.
                 interrupted = True
-                generation = max(0, generation - 1)
-                if owns_backend:
-                    terminate = getattr(backend, "terminate", None)
-                    if terminate is not None:
-                        terminate()
+                terminate = getattr(backend, "terminate", None)
+                if terminate is not None:
+                    terminate()
             final = evaluator.finalize(parent)
             final_fitness = evaluator.evaluate(final)
             if not final_fitness.functional:
@@ -1716,21 +1207,20 @@ class EvolutionRun:
                 fitness=final_fitness,
                 initial_fitness=initial_fitness,
                 generations=generation,
-                evaluations=evaluator.evaluations + pool_evaluations,
+                evaluations=counter("evaluations"),
                 runtime=runtime,
                 history=history if config.track_history else [],
                 sat_calls=evaluator.sat_calls,
-                cache_hits=cache.hits,
                 backend=backend.name,
                 eval_full=counter("eval_full"),
                 eval_incremental=counter("eval_incremental"),
                 ports_resimulated=counter("ports_resimulated"),
-                worker_restarts=getattr(backend, "worker_restarts", 0),
-                batches_retried=getattr(backend, "batches_retried", 0),
-                bytes_shipped=getattr(backend, "bytes_shipped", 0),
-                chunks_dispatched=getattr(backend, "chunks_dispatched", 0),
-                pipeline_stalls=getattr(backend, "pipeline_stalls", 0),
-                degraded_to_inline=getattr(backend, "degraded", False),
+                worker_restarts=backend.worker_restarts,
+                batches_retried=backend.batches_retried,
+                bytes_shipped=backend.bytes_shipped,
+                chunks_dispatched=backend.chunks_dispatched,
+                pipeline_stalls=backend.pipeline_stalls,
+                degraded_to_inline=backend.degraded,
                 interrupted=interrupted,
                 verified=verified,
             )
@@ -1756,7 +1246,6 @@ class EvolutionRun:
                 )
             return result
         finally:
-            if owns_backend:
-                backend.close()
+            backend.close()
             if owns_telemetry and telemetry is not None:
                 telemetry.close()

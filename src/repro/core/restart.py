@@ -9,11 +9,11 @@ infrastructure like this is what makes such runs operable:
   resumes where it stopped (and warns when resumed under a different
   configuration);
 * :func:`multi_start` — independent restarts with different seeds,
-  keeping the best result; the cheap, embarrassingly parallel way to
-  spend extra cores on a stochastic optimizer.  Each start is one job
-  on the :class:`repro.jobs.Scheduler`, so starts share one worker
-  budget, duplicate seeds evaluate once, and a disk-backed store makes
-  the whole portfolio resumable.
+  keeping the best result; the cheap way to spend extra budget on a
+  stochastic optimizer.  Each start is one job on the
+  :class:`repro.jobs.Scheduler`, so starts share one span worker,
+  duplicate seeds evaluate once, and a disk-backed store makes the
+  whole portfolio resumable.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ CHECKPOINT_VERSION = 2
 #: (bigger budget, more workers) and do not trigger a mismatch warning.
 _OPERATIONAL_FIELDS = frozenset({
     "generations", "seed", "time_budget", "stagnation_limit",
-    "track_history", "workers", "eval_cache_size", "telemetry_path",
+    "track_history", "workers", "telemetry_path",
 })
 
 
@@ -201,8 +201,9 @@ def multi_start(spec: Sequence[TruthTable], seeds: Sequence[int],
     """Independent evolution restarts; returns (best netlist, all keys).
 
     A thin client of the :class:`repro.jobs.Scheduler`: each seed is one
-    job.  With ``parallel`` the jobs share a worker pool sized to the
-    machine; duplicate seeds map to the same job and are evaluated once.
+    job.  With ``parallel`` (on a multi-core machine) their spans are
+    off-loaded to one shared worker process; duplicate seeds map to the
+    same job and are evaluated once.
     Passing a disk-backed ``store`` makes the whole portfolio resumable
     (and re-runs of finished seeds come straight from the store).
     """

@@ -1,30 +1,21 @@
-"""Pipe-based worker pool transport for offspring evaluation.
+"""Frame transport for span workers: the local pipe channel.
 
-``concurrent.futures.ProcessPoolExecutor`` costs a surprising amount
-per dispatch — a call queue with a management thread, per-task pickling
-of the callable and its arguments, and a result queue on the way back.
-On the engine's hot path (one small batch per generation, hundreds of
-thousands of generations) that fixed overhead dominates the useful
-work.  This module replaces it with the thinnest thing that still
-satisfies the pool contract:
+A span crosses a process boundary as one length-prefixed **frame** —
+first byte the opcode, payload packed by :mod:`repro.core.wire` — and
+comes back as one ``RESULT`` or ``ERROR`` frame:
 
-* one ``multiprocessing.Pipe`` + long-lived ``Process`` per worker;
-* one length-prefixed **frame** per request/reply (``send_bytes`` /
-  ``recv_bytes``), first byte = opcode, payload packed by
-  :mod:`repro.core.wire` (no pickle on the per-batch path);
+* :class:`PipeWorker` — one ``multiprocessing.Pipe`` + long-lived
+  ``Process``, the local channel of a
+  :class:`~repro.core.engine.ClusterDispatch`;
 * worker exceptions pickled into an ``ERROR`` frame and re-raised
-  coordinator-side, so typed errors (``WorkerPoolError``) propagate
-  exactly as futures propagated them;
+  coordinator-side, so typed errors (``WorkerPoolError``) propagate;
 * crash/hang/pipe-death surfaces as ``EOFError`` / ``OSError`` /
-  ``TimeoutError`` — the same :data:`repro.core.engine.
-  RECOVERABLE_POOL_ERRORS` the batch-retry machinery already handles.
+  ``TimeoutError`` — the :data:`repro.core.engine.
+  RECOVERABLE_POOL_ERRORS` the dispatch's retry loop handles.
 
-Handlers are registered per opcode in :data:`HANDLERS` by the modules
-that own them (:mod:`repro.core.engine` for single-run evaluation and
-replay spans, :mod:`repro.jobs.pool` for the scheduler's job-keyed
-variants); the worker main loop resolves unknown job opcodes by
-importing :mod:`repro.jobs.pool` lazily, so a spawned (non-fork) worker
-still finds them.
+Handlers are registered per opcode in :data:`HANDLERS` by the module
+that owns them (:mod:`repro.core.engine` registers the span handler;
+the worker main loop imports it, so a spawned worker finds it too).
 
 The opcode table, :func:`serve_frame` (validate + dispatch + pack
 errors) and :func:`unwrap_reply` (validate + re-raise shipped errors)
@@ -43,31 +34,21 @@ import multiprocessing
 import os
 import pickle
 import struct
-import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..errors import FrameTooLarge, FrameTruncated, UnknownOpcode
 
-# Frame opcodes.  Requests: single-run evaluation + replay; the 0x1*
-# block is the scheduler's job-keyed variants (handlers registered by
-# repro.jobs.pool).  Replies: one RESULT or ERROR frame per request.
-# PING/PONG is the cluster coordinator's liveness probe for idle remote
-# workers (the pipe transport never sends it; worker death there
-# surfaces as pipe EOF).
+# Frame opcodes.  The one request is a job-keyed replay span (handler
+# registered by repro.core.engine); replies are one RESULT or ERROR
+# frame per request.  PING/PONG is the cluster coordinator's liveness
+# probe for idle remote workers (the pipe transport never sends it;
+# worker death there surfaces as pipe EOF).
 OP_PING = 0x01
-OP_EVAL_GENOMES = 0x02
-OP_EVAL_DELTAS = 0x03
-OP_SPAN = 0x04
-OP_JOB_EVAL_GENOMES = 0x12
-OP_JOB_EVAL_DELTAS = 0x13
-OP_JOB_SPAN = 0x14
+OP_SPAN = 0x14
 OP_RESULT = 0x20
 OP_PONG = 0x21
 OP_ERROR = 0x2E
-
-_JOB_OPS = frozenset((OP_JOB_EVAL_GENOMES, OP_JOB_EVAL_DELTAS,
-                      OP_JOB_SPAN))
 
 #: Default cap on a single frame, request or reply.  Genuine frames are
 #: kilobytes (a span is two compact wire frames regardless of length);
@@ -106,11 +87,8 @@ def check_frame(frame, *, max_bytes: Optional[int] = None) -> None:
 
 def _resolve_handler(op: int) -> Callable[[memoryview], bytes]:
     handler = HANDLERS.get(op)
-    if handler is None and op in _JOB_OPS:
-        import repro.jobs.pool  # noqa: F401  (registers job handlers)
-        handler = HANDLERS.get(op)
     if handler is None:
-        raise UnknownOpcode(f"unknown pool frame opcode 0x{op:02x}")
+        raise UnknownOpcode(f"unknown frame opcode 0x{op:02x}")
     return handler
 
 
@@ -130,7 +108,7 @@ def serve_frame(frame, *, max_bytes: Optional[int] = None) -> bytes:
     The worker-side half of the dispatch core, shared by the pipe main
     loop and the TCP worker.  Every failure — a malformed frame, an
     unknown opcode, a handler exception — becomes an ``ERROR`` reply
-    the peer re-raises, so a bad request costs one batch retry instead
+    the peer re-raises, so a bad request costs one span retry instead
     of a wedged worker.  Only ``KeyboardInterrupt``/``SystemExit``
     propagate (the serve loops exit on them).
     """
@@ -140,8 +118,8 @@ def serve_frame(frame, *, max_bytes: Optional[int] = None) -> bytes:
     except (KeyboardInterrupt, SystemExit):
         raise
     except (struct.error, pickle.UnpicklingError) as exc:
-        # Payload decoding that predates the typed wire guards (job
-        # context headers, pickled deltas) must not ship raw
+        # Payload decoding outside the typed wire guards (the pickled
+        # job context header) must not ship raw
         # struct/pickle errors either.
         return error_frame(FrameTruncated(
             f"malformed payload for opcode 0x{frame[0]:02x}: {exc}"))
@@ -174,30 +152,17 @@ def unwrap_reply(frame, *, expect: int = OP_RESULT):
     return frame
 
 
-def _worker_main(conn, stale, init_payload) -> None:
+def _worker_main(conn, stale) -> None:
     """One worker process: a frame-dispatch loop until the pipe dies."""
-    # A forked worker inherits the coordinator-side handles of its own
-    # pipe and of every pipe created before it.  Holding them open would
-    # break EOF semantics both ways: the coordinator could never signal
-    # shutdown by closing its end, and an earlier worker's crash would
-    # go undetected.  Drop them first.
-    for inherited in stale:
-        try:
-            inherited.close()
-        except OSError:
-            pass
-    from . import engine as _engine
-    # A forked worker inherits the coordinator's module state (tests
-    # drive the worker functions in-process); start from a clean slate.
-    _engine._WORKER_EVALUATOR = None
-    _engine._WORKER_PARENT = None
-    _engine._WORKER_SPAN = None
-    jobs_pool = sys.modules.get("repro.jobs.pool")
-    if jobs_pool is not None:
-        jobs_pool._shared_initializer()
-    _engine.install_fault_injection()
-    if init_payload is not None:
-        _engine._pool_initializer(*init_payload)
+    # A forked worker inherits the coordinator-side handle of its own
+    # pipe.  Holding it open would break EOF semantics: the coordinator
+    # could never signal shutdown by closing its end.  Drop it first.
+    try:
+        stale.close()
+    except OSError:
+        pass
+    from . import engine
+    engine.reset_worker_state()
     limit = max_frame_bytes()
     while True:
         try:
@@ -216,90 +181,73 @@ def _worker_main(conn, stale, init_payload) -> None:
             return
 
 
-class _PipeWorker:
-    __slots__ = ("conn", "process")
+class PipeWorker:
+    """One pipe-connected worker process, used as a dispatch channel.
 
-    def __init__(self, conn, process):
-        self.conn = conn
-        self.process = process
-
-
-class PipeWorkerPool:
-    """A fixed set of pipe-connected worker processes.
-
-    Pure transport: ``send`` ships one request frame to one worker,
-    ``recv`` blocks (under an optional deadline) for that worker's
-    reply, unwrapping ``ERROR`` frames into re-raised exceptions.
-    Retry/degradation policy lives with the owners
-    (:class:`~repro.core.engine.ProcessPoolBackend`,
-    :class:`~repro.jobs.pool.SharedWorkerPool`).
+    Pure transport: :meth:`send` ships one request frame, :meth:`recv`
+    blocks (under an optional deadline) for the reply, unwrapping
+    ``ERROR`` frames into re-raised exceptions.  Retry policy lives
+    with the :class:`~repro.core.engine.ClusterDispatch` that owns it.
     """
 
-    def __init__(self, workers: int, init_payload=None):
-        self.workers = workers
+    remote = False
+    name: Optional[str] = None
+
+    def __init__(self):
         ctx = multiprocessing.get_context()
-        self._members: List[_PipeWorker] = []
-        for _ in range(workers):
-            ours, theirs = ctx.Pipe(duplex=True)
-            # Coordinator-side handles the child must not keep: earlier
-            # workers' (their `theirs` is already closed here, so the
-            # child only inherits the `ours` side) and its own.
-            stale = [member.conn for member in self._members] + [ours]
-            process = ctx.Process(target=_worker_main,
-                                  args=(theirs, stale, init_payload),
-                                  daemon=True)
-            process.start()
-            # The child holds its own handle; keeping ours open too
-            # would mask worker death (recv would never EOF).
-            theirs.close()
-            self._members.append(_PipeWorker(ours, process))
+        ours, theirs = ctx.Pipe(duplex=True)
+        self.process = ctx.Process(target=_worker_main,
+                                   args=(theirs, ours), daemon=True)
+        self.process.start()
+        # The child holds its own handle; keeping ours open too would
+        # mask worker death (recv would never EOF).
+        theirs.close()
+        self.conn = ours
 
-    def send(self, index: int, frame: bytes) -> None:
+    def send(self, frame: bytes) -> None:
         """Ship one frame; pipe death raises OSError (recoverable)."""
-        self._members[index].conn.send_bytes(frame)
+        self.conn.send_bytes(frame)
 
-    def ready(self, index: int) -> bool:
+    def ready(self) -> bool:
         """Whether a reply frame is already buffered (non-blocking)."""
-        return self._members[index].conn.poll(0)
+        return self.conn.poll(0)
 
-    def recv(self, index: int, deadline: Optional[float]) -> bytes:
+    def recv(self, deadline: Optional[float]) -> bytes:
         """One reply frame, ERROR frames re-raised, deadline enforced."""
-        conn = self._members[index].conn
         if deadline is not None:
             remaining = deadline - time.monotonic()
-            if remaining <= 0 or not conn.poll(remaining):
-                raise TimeoutError(
-                    f"pool worker {index} overran the batch deadline")
-        return unwrap_reply(conn.recv_bytes())
+            if remaining <= 0 or not self.conn.poll(remaining):
+                raise TimeoutError("span worker overran the span deadline")
+        return unwrap_reply(self.conn.recv_bytes())
+
+    def release(self, *, failed: bool) -> None:
+        """End one span's hold; a failed worker is killed (the dispatch
+        spawns a fresh one for the next span)."""
+        if failed:
+            self.kill()
 
     def kill(self) -> None:
-        """Tear the pool down *now*, hung workers included."""
-        for member in self._members:
-            try:
-                member.process.kill()
-            except Exception:
-                pass
-            try:
-                member.conn.close()
-            except Exception:
-                pass
-        for member in self._members:
-            try:
-                member.process.join(timeout=1.0)
-            except Exception:
-                pass
-        self._members = []
+        """Tear the worker down *now*, even if it is hung."""
+        try:
+            self.process.kill()
+        except Exception:
+            pass
+        try:
+            self.conn.close()
+        except Exception:
+            pass
+        try:
+            self.process.join(timeout=1.0)
+        except Exception:
+            pass
 
     def close(self) -> None:
-        """Graceful shutdown: close pipes (workers exit on EOF), join."""
-        for member in self._members:
-            try:
-                member.conn.close()
-            except Exception:
-                pass
-        for member in self._members:
-            member.process.join(timeout=5.0)
-            if member.process.is_alive():
-                member.process.kill()
-                member.process.join(timeout=1.0)
-        self._members = []
+        """Graceful shutdown: close the pipe (the worker exits on EOF)."""
+        try:
+            self.conn.close()
+        except Exception:
+            pass
+        self.process.join(timeout=5.0)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join(timeout=1.0)

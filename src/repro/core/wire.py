@@ -1,19 +1,18 @@
-"""Compact wire codec for the worker-pool transport.
+"""Compact wire codec for span frames.
 
-Everything that crosses a worker pipe per batch is packed here as raw
+Everything that crosses a worker channel per span is packed here as raw
 ``struct``/``array('q')`` bytes instead of pickled tuple-of-tuples:
 
 * **genomes** — a flat port-index genome is an ``array('q')`` memory
   dump (:func:`pack_genome`), eight bytes per gene with zero per-element
   object overhead;
 * **mutation deltas** — length-prefixed flat int runs via
-  :meth:`~repro.core.mutation.MutationDelta.flatten`;
-* **fitness chunks** — one ``<dqqq`` record per offspring plus the
-  worker's evaluation-counter deltas (:func:`pack_fitness_chunk`);
-* **replay spans** — the request ("replay generations ``[start,
-  start+count)`` from this parent") and the result (per-generation
-  accept records plus at most one genome back) for worker-side mutation
-  replay (:class:`SpanRequest` / :class:`SpanResult`).
+  :meth:`~repro.core.mutation.MutationDelta.flatten` (the
+  ``RCGP_CHECK_INCREMENTAL`` cross-check ships them);
+* **spans** — the request ("run generations ``[start, start+count)``
+  from this parent") and the result (per-generation accept records
+  plus at most one genome back) (:class:`SpanRequest` /
+  :class:`SpanResult`).
 
 The codec is deliberately dependency-light (``struct``, ``array``, the
 :class:`~repro.core.mutation.MutationDelta` dataclass) and symmetric:
@@ -22,7 +21,6 @@ every ``pack_*`` has an ``unpack_*`` inverse, property-tested in
 n_g, n_b)`` tuples — rebuilding :class:`~repro.core.fitness.Fitness`
 objects is the caller's business.
 """
-
 from __future__ import annotations
 
 import functools
@@ -47,7 +45,7 @@ def _checked(unpack):
     ``IndexError`` (length prefixes pointing past the end) to the
     transport.  All three become
     :class:`~repro.errors.FrameTruncated`, which the pool owners treat
-    as one recoverable batch loss.
+    as one recoverable span loss.
     """
     @functools.wraps(unpack)
     def guarded(data):
@@ -61,7 +59,6 @@ def _checked(unpack):
 
 _LEN = struct.Struct("<I")
 _FIT = struct.Struct("<dqqq")
-_COUNTERS = struct.Struct("<qqq")
 #: Per-generation replay record: accepted flag, best fitness, and the
 #: generation's (eval_full, eval_incremental, ports_resimulated) deltas.
 _RECORD = struct.Struct("<Bdqqqqqq")
@@ -84,30 +81,6 @@ def unpack_genome(data: bytes) -> Tuple[int, ...]:
     values = array("q")
     values.frombytes(data)
     return tuple(values)
-
-
-def pack_genomes(genomes: Sequence[Sequence[int]]) -> bytes:
-    """Length-prefixed genome list (genomes may differ in shape)."""
-    parts = [_LEN.pack(len(genomes))]
-    for genome in genomes:
-        blob = pack_genome(genome)
-        parts.append(_LEN.pack(len(blob)))
-        parts.append(blob)
-    return b"".join(parts)
-
-
-@_checked
-def unpack_genomes(data: bytes) -> List[Tuple[int, ...]]:
-    """Inverse of :func:`pack_genomes`."""
-    (count,) = _LEN.unpack_from(data, 0)
-    at = _LEN.size
-    out = []
-    for _ in range(count):
-        (size,) = _LEN.unpack_from(data, at)
-        at += _LEN.size
-        out.append(unpack_genome(data[at:at + size]))
-        at += size
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -134,34 +107,6 @@ def unpack_deltas(data: bytes) -> List[MutationDelta]:
         delta, at = MutationDelta.consume(flat, at)
         out.append(delta)
     return out
-
-
-# ----------------------------------------------------------------------
-# Fitness chunks
-
-
-def pack_fitness_chunk(values: Sequence[Fit4],
-                       counters: Tuple[int, int, int]) -> bytes:
-    """One chunk's results: fitness records + worker counter deltas."""
-    parts = [_LEN.pack(len(values))]
-    parts.extend(_FIT.pack(*value) for value in values)
-    parts.append(_COUNTERS.pack(*counters))
-    return b"".join(parts)
-
-
-@_checked
-def unpack_fitness_chunk(data: bytes) \
-        -> Tuple[List[Fit4], Tuple[int, int, int]]:
-    """Inverse of :func:`pack_fitness_chunk`."""
-    (count,) = _LEN.unpack_from(data, 0)
-    at = _LEN.size
-    values: List[Fit4] = []
-    for _ in range(count):
-        success, n_r, n_g, n_b = _FIT.unpack_from(data, at)
-        values.append((success, n_r, n_g, n_b))
-        at += _FIT.size
-    counters = _COUNTERS.unpack_from(data, at)
-    return values, counters
 
 
 # ----------------------------------------------------------------------

@@ -85,12 +85,13 @@ class VerificationUndecided(VerificationError):
 
 
 class WorkerPoolError(ReproError):
-    """The offspring-evaluation worker pool failed beyond recovery.
+    """A span worker failed in a way retrying cannot fix.
 
-    The engine's :class:`~repro.core.engine.ProcessPoolBackend` retries
-    broken/hung batches and degrades to inline evaluation before ever
-    raising this; it only escapes when even the inline fallback is
-    unavailable.
+    Lost spans (crashed, hung or disconnected workers) are retried by
+    :class:`~repro.core.engine.ClusterDispatch` and replayed inline
+    when retries run out, so this never escapes for infrastructure
+    faults; it marks a worker-side contract violation, such as a span
+    whose re-derived mutations diverge from the coordinator's.
     """
 
 

@@ -218,7 +218,7 @@ def run_table(table: int, config: Optional[HarnessConfig] = None,
               session: Optional[Session] = None) -> List[ExperimentRow]:
     """All rows of one paper table (optionally a named subset).
 
-    All rows share one scheduling session (and so one worker pool and
+    All rows share one scheduling session (and so one span worker and
     one store); interrupted table runs over a disk-backed store resume
     at the first unfinished row.
     """

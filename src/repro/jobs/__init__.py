@@ -14,7 +14,6 @@ The public surface:
 all thin clients of this package.
 """
 
-from .pool import JobBackend, SharedWorkerPool, parallel_safe_config
 from .scheduler import Job, Scheduler, result_from_payload
 from .spec import (OPERATIONAL_CONFIG_FIELDS, JobSpec,
                    identity_config_dict, spec_tables_from_payload,
@@ -27,18 +26,15 @@ __all__ = [
     "DONE",
     "FAILED",
     "Job",
-    "JobBackend",
     "JobSpec",
     "JobStore",
     "OPERATIONAL_CONFIG_FIELDS",
     "PENDING",
     "RUNNING",
     "Scheduler",
-    "SharedWorkerPool",
     "TELEMETRY_TRUNCATED",
     "identity_config_dict",
     "set_fault_hook",
-    "parallel_safe_config",
     "result_from_payload",
     "spec_tables_from_payload",
     "spec_tables_to_payload",

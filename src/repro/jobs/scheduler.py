@@ -7,9 +7,9 @@ a persistent :class:`~repro.jobs.store.JobStore`:
 
 * **Fair-share interleaving.**  Each live job advances one *slice* (at
   most ``quantum`` generations) per scheduler tick, round-robin, so no
-  job starves and every job's offspring batches flow through the same
-  :class:`~repro.jobs.pool.SharedWorkerPool` instead of spawning a pool
-  per job.  Slices keep the job's own seed and pass the engine a
+  job starves and every job's spans flow through the same
+  :class:`~repro.core.engine.ClusterDispatch` instead of spawning a
+  worker per job.  Slices keep the job's own seed and pass the engine a
   ``generation_offset`` so offspring RNG streams are keyed by the
   *absolute* generation — exactly the
   :func:`repro.core.restart.evolve_with_checkpoints` contract.  A
@@ -25,8 +25,8 @@ a persistent :class:`~repro.jobs.store.JobStore`:
   and re-submitting the same :class:`~repro.jobs.spec.JobSpec` (same
   spec hash) returns it without any re-evaluation.
 * **Fault tolerance.**  Worker crashes and hangs inside a slice are
-  recovered by the engine's batch retry machinery through the shared
-  pool; recovery counters are accumulated per job in the store.
+  recovered by the dispatch's span retry loop; recovery counters are
+  accumulated per job in the store.
 * **Per-job leases.**  A scheduler acquires the store's lease for a job
   before adopting it and heartbeats it every slice, so N processes
   pointed at one store directory split the queue instead of all
@@ -49,7 +49,8 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import RcgpConfig
-from ..core.engine import (EvolutionResult, EvolutionRun, TelemetryWriter)
+from ..core.engine import (ClusterBackend, ClusterDispatch, EvolutionResult,
+                           EvolutionRun, TelemetryWriter, parallel_safe)
 from ..core.fitness import Fitness
 from ..core.synthesis import (BaselineResult, SynthesisResult,
                               baseline_initialization)
@@ -59,7 +60,6 @@ from ..rqfp.buffer_opt import optimal_levels
 from ..rqfp.metrics import CircuitCost, circuit_cost
 from ..rqfp.netlist import RqfpNetlist
 from ..io.rqfp_json import netlist_from_dict, netlist_to_dict
-from .pool import JobBackend, SharedWorkerPool, parallel_safe_config
 from .spec import (JobSpec, spec_tables_from_payload,
                    spec_tables_to_payload)
 from .store import DONE, FAILED, JobStore, PENDING, RUNNING
@@ -198,10 +198,10 @@ class Scheduler:
         (no resume across processes, results still served within the
         session).
     workers:
-        Global offspring-evaluation budget shared by *all* jobs.  ``0``
-        or ``1`` evaluates inline; ``N > 1`` routes every parallel-safe
-        job's batches through one :class:`SharedWorkerPool` of ``N``
-        processes.
+        ``0`` or ``1`` runs every slice inline; ``N > 1`` off-loads the
+        spans of every parallel-safe job to one local worker process
+        shared by all jobs (slices run one at a time, so one span is in
+        flight at most).
     quantum:
         Generations per job per tick.  ``None`` runs each job's whole
         remaining budget in one slice (legacy single-run semantics);
@@ -209,11 +209,10 @@ class Scheduler:
         interleaving at slice granularity.
     fleet:
         An optional started :class:`~repro.cluster.fleet.ClusterFleet`.
-        When attached, every parallel-safe slice runs on a
-        :class:`~repro.cluster.backend.ClusterBackend` mixing the
-        fleet's remote workers with ``workers`` local pipe workers
-        (bit-identical to both the shared pool and the serial loop).
-        The fleet's lifecycle belongs to the caller.
+        When attached, parallel-safe spans go to its remote workers
+        first, then to the local worker when ``workers > 1``
+        (bit-identical to the serial loop either way).  The fleet's
+        lifecycle belongs to the caller.
     """
 
     def __init__(self, store: Optional[JobStore] = None, *,
@@ -226,8 +225,7 @@ class Scheduler:
         self.quantum = quantum
         self.fleet = fleet
         self._jobs: Dict[str, Job] = {}
-        self._pool: Optional[SharedWorkerPool] = None
-        self._cluster = None  # lazily-built ClusterDispatch
+        self._dispatch: Optional[ClusterDispatch] = None
         self._rr_next = 0  # round-robin cursor for step()
         self._blocked: List[str] = []  # foreign-leased, last step()
 
@@ -235,12 +233,9 @@ class Scheduler:
 
     def close(self) -> None:
         self.store.release_all_leases()
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        if self._cluster is not None:
-            self._cluster.close()
-            self._cluster = None
+        if self._dispatch is not None:
+            self._dispatch.close()
+            self._dispatch = None
 
     def __enter__(self) -> "Scheduler":
         return self
@@ -248,18 +243,26 @@ class Scheduler:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _shared_pool(self) -> SharedWorkerPool:
-        if self._pool is None:
-            self._pool = SharedWorkerPool(self.workers)
-        return self._pool
-
-    def _cluster_dispatch(self):
-        if self._cluster is None:
-            from ..cluster.backend import ClusterDispatch
-            self._cluster = ClusterDispatch(
-                self.fleet,
-                local_workers=self.workers if self.workers > 1 else 0)
-        return self._cluster
+    def _backend(self, job: Job, spec: List[TruthTable],
+                 config: RcgpConfig) -> Optional[ClusterBackend]:
+        """The slice's span backend, or None to run inline."""
+        fleet = self.fleet
+        if config.generations < 1 \
+                or not parallel_safe(spec[0].num_vars, config) \
+                or not (self.workers > 1 or (fleet is not None
+                                             and fleet.live_count() > 0)):
+            return None
+        if self._dispatch is None:
+            self._dispatch = ClusterDispatch(fleet,
+                                             local=self.workers > 1)
+        # Keyed by the bare job id: slices share one seed and pattern
+        # set, so workers keep their evaluator (and resident decoded
+        # parent) warm across slice boundaries.
+        ctx = (job.id, tuple(t.bits for t in spec), spec[0].num_vars,
+               config.to_dict())
+        return ClusterBackend(
+            self._dispatch, ctx, spec, config,
+            name="cluster" if fleet is not None else "shared-pool")
 
     # -- submission ----------------------------------------------------
 
@@ -450,26 +453,7 @@ class Scheduler:
             slice_config = config.replace(
                 generations=budget,
                 workers=0, telemetry_path=None)
-            backend = None
-            parallel_ok = budget > 0 and \
-                parallel_safe_config(spec[0].num_vars, slice_config)
-            if parallel_ok and self.fleet is not None and \
-                    (self.workers > 1 or self.fleet.live_count() > 0):
-                # Keyed by the bare job id: slices share one seed and
-                # pattern set now, so workers keep their evaluator (and
-                # resident decoded parent) warm across slice boundaries.
-                from ..cluster.backend import ClusterBackend
-                ctx = (job.id,
-                       tuple(t.bits for t in spec), spec[0].num_vars,
-                       slice_config.to_dict())
-                backend = ClusterBackend(self._cluster_dispatch(), ctx,
-                                         spec, slice_config)
-            elif parallel_ok and self.workers > 1:
-                ctx = (job.id,
-                       tuple(t.bits for t in spec), spec[0].num_vars,
-                       slice_config.to_dict())
-                backend = JobBackend(self._shared_pool(), ctx, spec,
-                                     slice_config)
+            backend = self._backend(job, spec, slice_config)
             result = EvolutionRun(spec, slice_config, initial=incumbent,
                                   name=job.name, telemetry=telemetry,
                                   backend=backend, generation_offset=done
@@ -496,9 +480,9 @@ class Scheduler:
                 # workers served frames, and how many replay spans ran
                 # off-host.
                 extras: Dict[str, object] = {}
-                names = getattr(backend, "cluster_workers", None)
-                if names is not None:
-                    extras["cluster_workers"] = sorted(names)
+                if backend is not None and self.fleet is not None:
+                    extras["cluster_workers"] = sorted(
+                        backend.cluster_workers)
                     extras["spans_remote"] = backend.spans_remote
                 telemetry.emit("job_slice", slice=record["slices"],
                                generations_done=done,

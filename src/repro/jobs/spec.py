@@ -31,7 +31,7 @@ from ..rqfp.netlist import RqfpNetlist
 #: Excluded from the job identity hash.  (``generations`` and ``seed``
 #: are *included*: a bigger budget or another seed is a different job.)
 OPERATIONAL_CONFIG_FIELDS = frozenset({
-    "workers", "eval_cache_size", "telemetry_path",
+    "workers", "telemetry_path",
     "batch_timeout", "batch_retries", "track_history", "verify_result",
 })
 

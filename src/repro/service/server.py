@@ -1,7 +1,7 @@
 """The synthesis scheduler behind a network line: a stdlib HTTP server.
 
 One :class:`ServiceServer` wraps one :class:`repro.api.Session` (job
-store + fair-share scheduler + shared worker pool) and exposes it over
+store + fair-share scheduler + shared span worker) and exposes it over
 ``ThreadingHTTPServer``:
 
 ========  ==========================  =======================================
@@ -253,7 +253,7 @@ class ServiceServer:
 
     def close(self) -> None:
         """Graceful drain: finish (and checkpoint) the slice in flight,
-        stop scheduling, stop accepting connections, release the pool.
+        stop scheduling, stop accepting connections, release the worker.
 
         Unfinished jobs stay ``running``/``pending`` in the store; a
         new server over the same store resumes them bit-identically.
@@ -386,12 +386,18 @@ class ServiceServer:
         (with ``resumable`` true and ``resume_from`` naming the restart
         point), not ``running``; a foreign *live* lease keeps the job
         ``running`` with its ``owner`` surfaced.
+
+        Ownership is snapshotted *before* the store read: the loop's
+        drain writes the store first and only then moves the job from
+        queued to active, so a job missing from the store here was
+        still in the snapshot — never a 404 for an acknowledged job.
         """
         store = self.session.store
+        with self._lock:
+            queued = self._queued.get(job_id)
+            owned = job_id in self._active or queued is not None
         record = store.load_record(job_id)
         if record is None:
-            with self._lock:
-                queued = self._queued.get(job_id)
             if queued is not None:
                 return {"job_id": job_id, "name": queued.name,
                         "state": QUEUED, "generations_done": 0,
@@ -399,8 +405,6 @@ class ServiceServer:
                         "resumable": False}
             raise JobNotFound(f"no job {job_id!r} in the store or queue")
         state = str(record.get("state", PENDING))
-        with self._lock:
-            owned = job_id in self._active or job_id in self._queued
         view: Dict[str, Any] = {
             "job_id": job_id,
             "name": record.get("name", ""),
@@ -562,6 +566,10 @@ class _Handler(BaseHTTPRequestHandler):
     service: ServiceServer = None  # type: ignore[assignment]
     server_version = "rcgp-service"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; with Nagle on, the
+    # body of a keep-alive response waits for the client's delayed ACK
+    # (~40 ms per request).
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt: str, *args) -> None:
         if self.service.log:

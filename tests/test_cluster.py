@@ -41,10 +41,7 @@ def _spec():
 
 
 def _config(**overrides):
-    # eval_cache_size=0 keeps the replay-span path eligible, so remote
-    # runs exercise the pipelined span protocol and not just batches.
-    base = dict(generations=300, seed=11, shrink="always", workers=0,
-                eval_cache_size=0)
+    base = dict(generations=300, seed=11, shrink="always", workers=0)
     base.update(overrides)
     return RcgpConfig(**base)
 
@@ -72,10 +69,10 @@ def _wait_live(fleet, count, timeout=30.0):
         f"fleet has {fleet.live_count()} live workers, wanted {count}")
 
 
-def _run_cluster(spec, config, fleet, *, local_workers=0):
+def _run_cluster(spec, config, fleet, *, local=False):
     """One EvolutionRun over a ClusterBackend; returns (run, dispatch,
     backend) with the dispatch closed."""
-    dispatch = ClusterDispatch(fleet, local_workers=local_workers)
+    dispatch = ClusterDispatch(fleet, local=local)
     ctx = ("test-job", tuple(t.bits for t in spec), spec[0].num_vars,
            config.to_dict())
     backend = ClusterBackend(dispatch, ctx, spec, config)
@@ -128,19 +125,24 @@ class TestFrameRobustness:
             transport.unwrap_reply(reply)
 
     def test_garbage_payload_round_trips_truncated(self):
-        # Both the job-keyed and the bare opcodes convert struct-level
-        # garbage into FrameTruncated — one recoverable retry, never a
-        # crash of the serve loop.
-        for opcode in (transport.OP_JOB_EVAL_GENOMES,
-                       transport.OP_EVAL_GENOMES):
-            reply = transport.serve_frame(bytes([opcode]) + b"\x01\x02")
+        # Garbage in a span frame — a short context header, an
+        # unpicklable context, a truncated request behind a valid one —
+        # becomes FrameTruncated: one recoverable retry, never a crash
+        # of the serve loop.
+        import pickle
+        import struct
+        ctx = pickle.dumps(("job", (6,), 2, RcgpConfig().to_dict()))
+        for payload in (b"\x01\x02",
+                        struct.pack("<I", 3) + b"\x80\xff\x00",
+                        struct.pack("<I", len(ctx)) + ctx + b"\x07"):
+            reply = transport.serve_frame(bytes([transport.OP_SPAN])
+                                          + payload)
             with pytest.raises(FrameTruncated):
                 transport.unwrap_reply(reply)
 
     def test_wire_unpack_truncated_typed(self):
-        for unpack in (wire.unpack_genomes, wire.unpack_deltas,
-                       wire.unpack_fitness_chunk,
-                       wire.unpack_span_result):
+        for unpack in (wire.unpack_genome, wire.unpack_deltas,
+                       wire.unpack_span_request, wire.unpack_span_result):
             with pytest.raises(FrameTruncated):
                 unpack(memoryview(b"\x07"))
 
@@ -271,7 +273,7 @@ class TestClusterDeterminism:
             remote, r_dispatch, r_backend = _run_cluster(
                 spec, config, fleet)
             mixed, m_dispatch, m_backend = _run_cluster(
-                spec, config, fleet, local_workers=2)
+                spec, config, fleet, local=True)
         finally:
             fleet.close()
             for proc in procs:

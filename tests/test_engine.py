@@ -1,4 +1,4 @@
-"""Unit tests for the evolution engine (run API, backends, cache).
+"""Unit tests for the evolution engine (run API, backends, config).
 
 The engine's headline guarantee is **determinism across worker
 counts**: for a fixed seed, ``workers=0``, ``workers=1`` and
@@ -12,17 +12,19 @@ import os
 import pytest
 
 from repro.core.config import RcgpConfig
+from repro.core import wire
 from repro.core.engine import (
+    ClusterBackend,
+    ClusterDispatch,
     EvolutionRun,
-    FitnessCache,
     InlineBackend,
-    ProcessPoolBackend,
     TelemetryWriter,
     child_seed,
     decode_genome,
     encode_genome,
     parallel_safe,
     read_telemetry,
+    replay_span,
 )
 from repro.core.evolution import evolve
 from repro.core.fitness import Evaluator, Fitness
@@ -83,7 +85,7 @@ class TestConfigSerialization:
             sat_conflict_budget=777, stagnation_limit=55,
             time_budget=1.5, count_buffers_in_fitness=False,
             simplify_wires=False, track_history=True, workers=2,
-            eval_cache_size=10, telemetry_path="/tmp/t.jsonl",
+            telemetry_path="/tmp/t.jsonl",
             enable_output_mutation=False)
         assert RcgpConfig.from_dict(config.to_dict()) == config
 
@@ -96,7 +98,7 @@ class TestConfigSerialization:
         with pytest.raises(ValueError):
             RcgpConfig(workers=-1)
         with pytest.raises(ValueError):
-            RcgpConfig(eval_cache_size=-1)
+            RcgpConfig(batch_retries=-1)
 
 
 class TestFitnessTotalOrder:
@@ -125,25 +127,6 @@ class TestFitnessTotalOrder:
         assert Fitness(1.0) != object()
         with pytest.raises(TypeError):
             Fitness(1.0) < 3
-
-
-class TestFitnessCache:
-    def test_hit_miss_accounting_and_lru_bound(self):
-        cache = FitnessCache(maxsize=2)
-        f = Fitness(1.0, 1, 1, 1)
-        assert cache.get((1,)) is None
-        cache.put((1,), f)
-        assert cache.get((1,)) == f
-        assert cache.hits == 1 and cache.misses == 1
-        cache.put((2,), f)
-        cache.put((3,), f)          # evicts (1,), the least recent
-        assert len(cache) == 2
-        assert cache.get((1,)) is None
-
-    def test_disabled_cache_stores_nothing(self):
-        cache = FitnessCache(maxsize=0)
-        cache.put((1,), Fitness(1.0))
-        assert len(cache) == 0 and not cache.enabled
 
 
 class TestDeterminismAcrossWorkers:
@@ -180,54 +163,54 @@ class TestDeterminismAcrossWorkers:
         assert result.backend == "inline"
 
     def test_parallel_safe_predicate(self):
-        spec = _decoder_spec()
+        inputs = _decoder_spec()[0].num_vars
         exhaustive = RcgpConfig(seed=1)
-        assert parallel_safe(Evaluator(spec, exhaustive), exhaustive)
+        assert parallel_safe(inputs, exhaustive)
+        assert parallel_safe(inputs, RcgpConfig())  # unseeded: still pure
         sampled_sat = RcgpConfig(seed=1, exhaustive_input_limit=1,
                                  simulation_patterns=8)
-        assert not parallel_safe(Evaluator(spec, sampled_sat), sampled_sat)
+        assert not parallel_safe(inputs, sampled_sat)
         sampled_pure = RcgpConfig(seed=1, exhaustive_input_limit=1,
                                   simulation_patterns=8,
                                   verify_with_sat=False)
-        assert parallel_safe(Evaluator(spec, sampled_pure), sampled_pure)
+        assert parallel_safe(inputs, sampled_pure)
         unseeded = RcgpConfig(exhaustive_input_limit=1,
                               simulation_patterns=8, verify_with_sat=False)
-        assert not parallel_safe(Evaluator(spec, unseeded), unseeded)
+        assert not parallel_safe(inputs, unseeded)
+        # The span frame carries the seed as a signed 64-bit field.
+        assert not parallel_safe(inputs, RcgpConfig(seed=2**63))
 
 
 class TestCacheAccounting:
-    def test_duplicate_mutants_hit_the_cache(self):
-        spec = _xor_spec()
-        initial = initialize_netlist(spec)
-        config = RcgpConfig(generations=200, offspring=8, seed=3,
-                            max_mutated_genes=1, mutation_rate=1.0)
-        result = EvolutionRun(spec, config, initial=initial).run()
-        assert result.cache_hits > 0
-        # Every offspring is either a cache hit or an evaluation; the
-        # few extra evaluations are the parent/finalize checks.
-        offspring_total = result.generations * config.offspring
-        assert result.evaluations + result.cache_hits >= offspring_total
+    """The fitness memo cache is gone: every offspring is evaluated and
+    ``cache_hits`` survives only as an always-zero field."""
 
     def test_cache_disabled_reports_zero_hits(self):
         spec = _xor_spec()
         initial = initialize_netlist(spec)
+        # Duplicate mutants galore (one gene, eight offspring): each one
+        # is still evaluated, so the count is exact.
         config = RcgpConfig(generations=100, offspring=8, seed=3,
-                            max_mutated_genes=1, mutation_rate=1.0,
-                            eval_cache_size=0)
+                            max_mutated_genes=1, mutation_rate=1.0)
         result = EvolutionRun(spec, config, initial=initial).run()
         assert result.cache_hits == 0
+        assert result.evaluations >= \
+            result.generations * config.offspring + 2
 
     def test_cache_does_not_change_results(self):
+        # Configs written while the cache existed carry its knob; they
+        # must still load (the key is ignored) and run identically.
         spec = _decoder_spec()
         initial = initialize_netlist(spec)
         base = dict(generations=80, offspring=6, seed=13,
                     mutation_rate=0.1, shrink="always")
-        cached = EvolutionRun(spec, RcgpConfig(**base),
-                              initial=initial).run()
-        uncached = EvolutionRun(spec, RcgpConfig(eval_cache_size=0, **base),
-                                initial=initial).run()
-        assert cached.fitness.key() == uncached.fitness.key()
-        assert cached.netlist.describe() == uncached.netlist.describe()
+        legacy = RcgpConfig.from_dict(dict(base, eval_cache_size=100_000))
+        assert legacy == RcgpConfig(**base)
+        old = EvolutionRun(spec, legacy, initial=initial).run()
+        new = EvolutionRun(spec, RcgpConfig(**base), initial=initial).run()
+        assert old.fitness.key() == new.fitness.key()
+        assert old.netlist.describe() == new.netlist.describe()
+        assert old.evaluations == new.evaluations
 
 
 class TestTelemetry:
@@ -391,29 +374,63 @@ class TestMultiStartFullConfig:
 
 
 class TestEngineBackends:
-    def test_inline_backend_matches_evaluator(self):
-        spec = _decoder_spec()
-        evaluator = Evaluator(spec, RcgpConfig())
-        netlist = initialize_netlist(spec)
-        backend = InlineBackend(evaluator)
-        [fitness] = backend.evaluate([encode_genome(netlist)])
-        assert fitness == Evaluator(spec, RcgpConfig()).evaluate(netlist)
+    def _request(self, spec, config, count=12):
+        parent = initialize_netlist(spec)
+        fitness = Evaluator(spec, config).evaluate(parent)
+        return wire.SpanRequest(
+            base_seed=config.seed, start_gen=1, count=count,
+            parent_fitness=(fitness.success, fitness.n_r, fitness.n_g,
+                            fitness.n_b),
+            parent_genome=encode_genome(parent))
 
-    def test_pool_backend_rejects_single_worker(self):
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(_decoder_spec(), RcgpConfig(), workers=1)
+    def test_inline_backend_matches_evaluator(self):
+        # The inline backend is replay_span on the evaluator it is
+        # handed: same records, and its counters land on that evaluator.
+        spec = _decoder_spec()
+        config = RcgpConfig(seed=4, mutation_rate=0.2)
+        request = self._request(spec, config)
+        evaluator = Evaluator(spec, config)
+        backend = InlineBackend(evaluator)
+        backend.dispatch_span(request)
+        got = backend.collect_span()
+        reference = Evaluator(spec, config)
+        want, _ = replay_span(reference, None, request)
+        assert got == want
+        assert evaluator.evaluations == reference.evaluations > 0
+        assert backend.evaluations == 0
 
     def test_pool_backend_preserves_batch_order(self):
+        # A span served by a worker process returns the records, in
+        # generation order, that the inline replay produces — and the
+        # backend reports the worker's counters as its own.
         spec = _decoder_spec()
-        good = initialize_netlist(spec)
-        bad = good.copy()
-        bad.outputs = list(reversed(bad.outputs))
-        backend = ProcessPoolBackend(spec, RcgpConfig(), workers=2)
+        config = RcgpConfig(seed=4, mutation_rate=0.2)
+        request = self._request(spec, config)
+        want, _ = replay_span(Evaluator(spec, config), None, request)
+        dispatch = ClusterDispatch(local=True)
+        ctx = ("order", tuple(t.bits for t in spec), spec[0].num_vars,
+               config.to_dict())
+        backend = ClusterBackend(dispatch, ctx, spec, config,
+                                 name="process-pool", owns_dispatch=True)
         try:
-            genomes = [encode_genome(good), encode_genome(bad),
-                       encode_genome(good)]
-            results = backend.evaluate(genomes)
-            assert results[0].functional and results[2].functional
-            assert not results[1].functional
+            backend.dispatch_span(request)
+            got = backend.collect_span()
         finally:
             backend.close()
+        assert got == want
+        assert backend.chunks_dispatched == 1
+        assert backend.evaluations == sum(
+            full + incremental for _, _, (full, incremental, _) in
+            want.records)
+        assert not backend.degraded
+
+    def test_time_budget_ends_pooled_run_between_spans(self):
+        # The time budget is checked before each span is dispatched, so
+        # an off-loaded run stops within one span of the budget.
+        spec = _decoder_spec()
+        config = RcgpConfig(generations=10 ** 9, time_budget=0.5, seed=2,
+                            workers=2)
+        result = EvolutionRun(spec, config).run()
+        assert result.backend == "process-pool"
+        assert 0 < result.generations < 10 ** 9
+        assert result.runtime < 5.0

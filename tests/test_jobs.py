@@ -17,14 +17,14 @@ import time
 import pytest
 
 from repro.core.config import RcgpConfig
+from repro.core.engine import parallel_safe
 from repro.core.restart import multi_start
 from repro.core.synthesis import SynthesisResult
 from repro.errors import LeaseHeld, StoreCorruption
 from repro.io.rqfp_json import netlist_to_dict
 from repro.jobs import (DEFAULT_LEASE_TTL, DONE, FAILED, JobSpec, JobStore,
                         PENDING, RUNNING, Scheduler, TELEMETRY_TRUNCATED,
-                        identity_config_dict, parallel_safe_config,
-                        set_fault_hook)
+                        identity_config_dict, set_fault_hook)
 from repro.logic.truth_table import TruthTable, tabulate_word
 
 
@@ -46,11 +46,15 @@ class TestJobSpec:
         spec = tuple(_xor_and_spec())
         a = JobSpec(spec, RcgpConfig(generations=100, seed=1))
         b = JobSpec(spec, RcgpConfig(generations=100, seed=1, workers=8,
-                                     eval_cache_size=17,
                                      telemetry_path="/tmp/x.jsonl",
                                      batch_retries=9, track_history=True,
                                      verify_result=True))
         assert a.job_id == b.job_id
+        # A config written while the memo cache existed still maps to
+        # the same job (the retired knob is dropped on load).
+        legacy = RcgpConfig.from_dict({"generations": 100, "seed": 1,
+                                       "eval_cache_size": 17})
+        assert JobSpec(spec, legacy).job_id == a.job_id
 
     def test_search_relevant_fields_change_identity(self):
         spec = tuple(_xor_and_spec())
@@ -291,14 +295,15 @@ class TestSharedWorkerPool:
                 assert pooled.evolution.backend == "shared-pool"
 
     def test_parallel_safe_config(self):
+        # The scheduler routes slices with the engine's own predicate.
         safe = RcgpConfig(seed=1)
-        assert parallel_safe_config(3, safe)                 # exhaustive
+        assert parallel_safe(3, safe)                        # exhaustive
         sampled = RcgpConfig(seed=1, exhaustive_input_limit=2,
                              verify_with_sat=False)
-        assert parallel_safe_config(3, sampled)              # seeded
+        assert parallel_safe(3, sampled)                     # seeded
         sat = RcgpConfig(seed=1, exhaustive_input_limit=2,
                          verify_with_sat=True)
-        assert not parallel_safe_config(3, sat)              # SAT feedback
+        assert not parallel_safe(3, sat)                     # SAT feedback
 
 
 class TestMultiStartClient:

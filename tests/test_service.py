@@ -214,6 +214,60 @@ class TestBackpressure:
             server.close()
 
 
+class TestStatusRaces:
+    def test_status_between_drain_steps_is_never_404(self):
+        # Pin the race deterministically: the status read fetches the
+        # store *before* the drain writes it, and the drain then runs
+        # to completion (store write, queued -> active) before the
+        # status read looks at the queue.  The job was acknowledged, so
+        # it must read as queued, not 404.
+        server = ServiceServer(None, port=0).start(loop=False)
+        try:
+            client = ServiceClient(server.url, timeout=10.0)
+            job_id = client.submit(_xor_and_spec(),
+                                   _config(seed=1))["job_id"]
+            store = server.session.store
+            real = store.load_record
+
+            def load_then_drain(jid):
+                record = real(jid)
+                assert record is None  # not drained yet
+                store.load_record = real  # the drain reads it too
+                assert server._drain_submissions()
+                assert real(jid) is not None
+                return record
+
+            store.load_record = load_then_drain
+            try:
+                view = server.job_view(job_id)
+            finally:
+                store.load_record = real
+            assert view["state"] == QUEUED
+            assert client.status(job_id)["job_id"] == job_id
+        finally:
+            server.close()
+
+    def test_keep_alive_requests_do_not_stall(self):
+        import http.client
+        import time
+        with ServiceServer(None, port=0).start(loop=False) as server:
+            host, port = server.url.split("//")[1].split(":")
+            connection = http.client.HTTPConnection(host, int(port),
+                                                    timeout=10.0)
+            try:
+                start = time.perf_counter()
+                for _ in range(10):
+                    connection.request("GET", "/healthz")
+                    response = connection.getresponse()
+                    assert response.status == 200
+                    response.read()
+                elapsed = time.perf_counter() - start
+            finally:
+                connection.close()
+        # A delayed-ACK stall costs ~40 ms per request.
+        assert elapsed < 10 * 0.040 / 2, elapsed
+
+
 class TestInterruptedAndResume:
     """Regression: a record left ``running`` by a dead process must be
     reported ``interrupted`` + resumable, not ``running`` forever."""

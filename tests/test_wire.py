@@ -1,9 +1,8 @@
 """Wire codec round-trips and scheduled-sweep bit-identity.
 
 Two contracts live here.  First, every ``pack_*`` in
-``repro.core.wire`` has an exact ``unpack_*`` inverse — the pool
-transport may never lose or reorder a gene, delta, fitness record or
-span field.  Second, the worklist cone sweep the span-resident replay
+``repro.core.wire`` has an exact ``unpack_*`` inverse — the span
+transport may never lose or reorder a gene, delta or span field.  Second, the worklist cone sweep the span-resident replay
 loop uses (:meth:`NetlistKernel.resimulate_cone_scheduled` behind
 :meth:`SimulationState.enable_fanout_index`) is bit-identical to the
 index-ordered scan: same recomputed-port counter, same changed ports in
@@ -48,32 +47,11 @@ class TestCodecRoundTrips:
                            for _ in range(rng.randrange(0, 120)))
             assert wire.unpack_genome(wire.pack_genome(genome)) == genome
 
-    def test_genome_list_round_trip(self):
-        rng = random.Random(22)
-        genomes = [tuple(rng.randrange(0, 1 << 16)
-                         for _ in range(rng.randrange(0, 40)))
-                   for _ in range(12)]
-        assert wire.unpack_genomes(wire.pack_genomes(genomes)) == genomes
-        assert wire.unpack_genomes(wire.pack_genomes([])) == []
-
     def test_delta_round_trip(self):
         deltas = _random_deltas()
         packed = wire.pack_deltas(deltas)
         assert isinstance(packed, bytes)
         assert wire.unpack_deltas(packed) == deltas
-
-    def test_fitness_chunk_round_trip(self):
-        rng = random.Random(23)
-        values = [(rng.random(), rng.randrange(200), rng.randrange(200),
-                   rng.randrange(200)) for _ in range(37)]
-        counters = (rng.randrange(10**6), rng.randrange(10**6),
-                    rng.randrange(10**9))
-        out_values, out_counters = wire.unpack_fitness_chunk(
-            wire.pack_fitness_chunk(values, counters))
-        assert out_values == values
-        assert out_counters == counters
-        assert wire.unpack_fitness_chunk(
-            wire.pack_fitness_chunk([], (0, 0, 0))) == ([], (0, 0, 0))
 
     @pytest.mark.parametrize("with_check", [False, True])
     def test_span_request_round_trip(self, with_check):
